@@ -7,7 +7,7 @@ from .errors import (AmlGraphError, ConfigError, DimensionError, IngestError,
 from .graph import (EXTERNAL, INCOMING, OUTGOING, BipartiteGraph,
                     CustomerProfile, RawTransaction, build_graph, extend_graph,
                     load_graph, sample_negatives, sample_neighborhood,
-                    save_graph, sever_edges, split_edges)
+                    save_graph, split_edges)
 from .model import (anomaly_score, decode, encode, gat_attention, init_params,
                     load_model, save_model)
 from .training import (AnomalyResult, TrainingConfig, fit, link_loss,
@@ -22,8 +22,7 @@ __all__ = [
     "MetricError", "NumericalError", "SamplingError",
     "EXTERNAL", "INCOMING", "OUTGOING", "BipartiteGraph", "CustomerProfile",
     "RawTransaction", "build_graph", "extend_graph", "load_graph",
-    "sample_negatives", "sample_neighborhood", "save_graph", "sever_edges",
-    "split_edges",
+    "sample_negatives", "sample_neighborhood", "save_graph", "split_edges",
     "anomaly_score", "decode", "encode", "gat_attention", "init_params",
     "load_model", "save_model",
     "AnomalyResult", "TrainingConfig", "fit", "link_loss",

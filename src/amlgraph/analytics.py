@@ -180,7 +180,10 @@ def read_embeddings(path: str) -> tuple[dict, dict]:
             if len(parts) != len(header):
                 raise IngestError(f"{path}:{lineno}: wrong column count")
             kind, nid = parts[0], parts[1]
-            vec = np.array([float(v) for v in parts[2:]])
+            try:
+                vec = np.array([float(v) for v in parts[2:]])
+            except ValueError as e:
+                raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
             if kind == "customer":
                 customers[nid] = vec
             elif kind == "transaction":

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndtensor as nd
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .graph import (DIRECTIONS, OUTGOING, BipartiteGraph, EdgeSplit, as_rng,
                     full_subgraph, sample_negatives)
 from .model import ModelParams, _glorot, encode, init_params
 from .ndtensor import (BatchNormState, Tensor, add, batch_norm, bce, concat,
-                       dropout, matmul, mean_rows, relu, sigmoid, transpose2d,
-                       zero_grad)
-from .training import AdamState, TrainingConfig, adam_step, link_loss
+                       dropout, matmul, mean_rows, relu, sigmoid, transpose2d)
+from .training import (AdamState, TrainingConfig, descend, link_loss,
+                       run_epochs, validate_fit_config)
 
 MLP_WIDTHS = (128, 64, 32, 16)
 
@@ -42,18 +42,7 @@ class MlpConfig:
             raise ConfigError("need at least one hidden width")
         if any(w < 1 for w in self.widths):
             raise ConfigError("hidden widths must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (batch norm needs it)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        validate_fit_config(self)
 
 
 class MlpParams:
@@ -177,43 +166,25 @@ def mlp_fit(g: BipartiteGraph, split: EdgeSplit, config: MlpConfig
     x_val = np.vstack([real_triples(g, val), corrupt_triples(g, val, val_rng)])
     y_val = np.concatenate([np.ones(val.size), np.zeros(val.size)]).reshape(-1, 1)
 
-    best_val = np.inf
-    best = params.copy()
-    bad = 0
-    history = []
-    for epoch in range(config.max_epochs):
+    def train_epoch(epoch):
         perm = rng.permutation(train)
         losses = []
         for lo in range(0, train.size, config.batch_size):
             batch = perm[lo:lo + config.batch_size]
-            if batch.size < 1:
-                continue
             x = np.vstack([real_triples(g, batch),
                            corrupt_triples(g, batch, rng)])
             y = np.concatenate([np.ones(batch.size),
                                 np.zeros(batch.size)]).reshape(-1, 1)
-            tensors = params.parameters()
-            zero_grad(tensors)
-            with nd.Tape() as tape:
-                pred = mlp_forward(params, Tensor(x), training=True, rng=rng,
-                                   dropout_p=config.dropout)
-                loss = bce(pred, y)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericalError(f"training loss is not finite ({value})")
-            tape.backward(loss)
-            adam_step(adam, tensors, config.learning_rate)
-            losses.append(value)
+            losses.append(descend(
+                params.parameters(), adam, config.learning_rate,
+                lambda: bce(mlp_forward(params, Tensor(x), training=True,
+                                        rng=rng, dropout_p=config.dropout), y)))
         val_loss = float(bce(mlp_forward(params, Tensor(x_val)), y_val).data)
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                        "val_loss": val_loss})
-        if val_loss < best_val:
-            best_val, best, bad = val_loss, params.copy(), 0
-        else:
-            bad += 1
-            if bad >= max(config.patience, 1):
-                break
-    return best, history
+        return {"epoch": epoch, "train_loss": float(np.mean(losses)),
+                "val_loss": val_loss}, val_loss
+
+    return run_epochs(config.max_epochs, config.patience, train_epoch,
+                      params.copy)
 
 
 def mlp_eval_scores(params: MlpParams, g: BipartiteGraph,
@@ -260,36 +231,23 @@ def dgi_pretrain(g: BipartiteGraph, config: TrainingConfig,
     adam = AdamState(tensors)
     max_epochs = num_epochs if num_epochs is not None else config.max_epochs
 
-    best_loss = np.inf
-    best = params.copy()
-    bad = 0
-    history = []
-    for epoch in range(max_epochs):
-        zero_grad(tensors)
-        with nd.Tape() as tape:
-            z_c, z_t = encode(params, sub, g.x_c, g.x_t, training=True,
-                              rng=rng, dropout_p=config.dropout)
-            fake_c, fake_t = encode(params, sub, shuffle_rows(g.x_c, rng),
-                                    shuffle_rows(g.x_t, rng), training=True,
-                                    rng=rng, dropout_p=config.dropout)
-            real = concat([z_c, z_t], axis=0)
-            fake = concat([fake_c, fake_t], axis=0)
-            summary = sigmoid(mean_rows(real))
-            loss = nd.add(bce(_discriminate(real, w_disc, summary), 1.0),
-                          bce(_discriminate(fake, w_disc, summary), 0.0))
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericalError(f"pretraining loss is not finite ({value})")
-        tape.backward(loss)
-        adam_step(adam, tensors, config.learning_rate)
-        history.append({"epoch": epoch, "train_loss": value})
-        if value < best_loss:
-            best_loss, best, bad = value, params.copy(), 0
-        else:
-            bad += 1
-            if bad >= max(config.patience, 1):
-                break
-    return best, history
+    def contrastive_loss():
+        z_c, z_t = encode(params, sub, g.x_c, g.x_t, training=True,
+                          rng=rng, dropout_p=config.dropout)
+        fake_c, fake_t = encode(params, sub, shuffle_rows(g.x_c, rng),
+                                shuffle_rows(g.x_t, rng), training=True,
+                                rng=rng, dropout_p=config.dropout)
+        real = concat([z_c, z_t], axis=0)
+        fake = concat([fake_c, fake_t], axis=0)
+        summary = sigmoid(mean_rows(real))
+        return nd.add(bce(_discriminate(real, w_disc, summary), 1.0),
+                      bce(_discriminate(fake, w_disc, summary), 0.0))
+
+    def train_epoch(epoch):
+        value = descend(tensors, adam, config.learning_rate, contrastive_loss)
+        return {"epoch": epoch, "train_loss": value}, value
+
+    return run_epochs(max_epochs, config.patience, train_epoch, params.copy)
 
 
 def dgi_embeddings(params: ModelParams, g: BipartiteGraph
@@ -334,11 +292,7 @@ def dgi_downstream(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph
     y_val = np.concatenate([np.concatenate([np.ones(len(p)), np.zeros(len(n))])
                             for p, n in val_parts]).reshape(-1, 1)
 
-    best_val = np.inf
-    best_w = w.data.copy()
-    bad = 0
-    history = []
-    for epoch in range(DGI_DECODER_EPOCHS):
+    def train_epoch(epoch):
         losses = []
         for d in DIRECTIONS:
             if sup[d].size == 0:
@@ -348,25 +302,18 @@ def dgi_downstream(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph
             neg_c, neg_t = sample_negatives(g, pos_t.size * config.negatives,
                                             d, rng)
             neg = pair_product(neg_c, neg_t)
-            zero_grad([w])
-            with nd.Tape() as tape:
-                y_pos = sigmoid(matmul(Tensor(pos), w))
-                y_neg = sigmoid(matmul(Tensor(neg), w))
-                loss = link_loss(y_pos, nd.reshape(
-                    y_neg, (pos_t.size, config.negatives)))
-            tape.backward(loss)
-            adam_step(adam, [w], DGI_DECODER_LR)
-            losses.append(float(loss.data))
+            losses.append(descend([w], adam, DGI_DECODER_LR, lambda: link_loss(
+                sigmoid(matmul(Tensor(pos), w)),
+                nd.reshape(sigmoid(matmul(Tensor(neg), w)),
+                           (pos_t.size, config.negatives)))))
         val_pred = sigmoid(matmul(Tensor(x_val), Tensor(w.data)))
         val_loss = float(bce(val_pred, y_val).data)
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                        "val_loss": val_loss})
-        if val_loss < best_val:
-            best_val, best_w, bad = val_loss, w.data.copy(), 0
-        else:
-            bad += 1
-            if bad >= max(config.patience, 1):
-                break
+        return {"epoch": epoch, "train_loss": float(np.mean(losses)),
+                "val_loss": val_loss}, val_loss
+
+    # adam_step rebinds w.data, so the snapshot must read it at call time
+    best_w, history = run_epochs(DGI_DECODER_EPOCHS, config.patience,
+                                 train_epoch, lambda: w.data.copy())
     return Tensor(best_w, requires_grad=True), history
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestError
-from .graph import EXTERNAL, CustomerProfile, RawTransaction
+from .errors import ConfigError
+from .graph import EXTERNAL, CustomerProfile, RawTransaction, read_records
 
 AGGREGATE_DIMS = 4   # appended to each profile from warm-up activity
 
@@ -216,16 +216,6 @@ def write_labels(path: str, labels: list[TxnLabel]) -> None:
 
 
 def load_labels(path: str) -> list[TxnLabel]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(TxnLabel(obj["txn_id"], bool(obj["anomaly"]),
-                                    int(obj["src_community"]),
-                                    int(obj["dst_community"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise IngestError(f"{path}:{lineno}: bad label record: {e}") from e
-    return out
+    return read_records(path, lambda obj: TxnLabel(
+        obj["txn_id"], bool(obj["anomaly"]), int(obj["src_community"]),
+        int(obj["dst_community"])))

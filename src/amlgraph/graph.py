@@ -1,4 +1,4 @@
-"""Directed bipartite customer-transaction graph: build, split, sample, sever.
+"""Directed bipartite customer-transaction graph: build, split, sample.
 
 Customers and transactions are the two node types. A transaction carries
 at most one outgoing edge (spending customer -> transaction) and at most
@@ -235,6 +235,8 @@ def extend_graph(g: BipartiteGraph, transactions: Sequence[RawTransaction]
         if f.shape != (g.d_transaction,):
             raise IngestError(f"transaction {t.txn_id!r} has {f.shape} features, "
                               f"expected ({g.d_transaction},)")
+        if not np.all(np.isfinite(f)):
+            raise IngestError(f"transaction {t.txn_id!r} has non-finite features")
         rows.append(g.standardize_transaction_features(f))
         side = {}
         for name, cid in (("src", t.source_customer), ("dst", t.dest_customer)):
@@ -549,70 +551,43 @@ def full_subgraph(g: BipartiteGraph, num_layers: int) -> Subgraph:
                     tuple([all_t] * num_layers))
 
 
-def sever_edges(sub: Subgraph, edges, direction: str) -> Subgraph:
-    """Drop the given transactions' edges of one direction from a sample.
-
-    Both the forward and transposed forms are removed at every layer;
-    the other direction is untouched. Severing an absent edge is a no-op.
-    """
-    check_direction(direction)
-    edges = np.unique(np.asarray(edges, dtype=np.int64))
-    rels = (OUT_FWD, OUT_REV) if direction == OUTGOING else (IN_FWD, IN_REV)
-    layers = []
-    for layer in sub.layers:
-        new_layer = dict(layer)
-        for rel in rels:
-            src, dst, etxn = layer[rel]
-            keep = ~np.isin(etxn, edges)
-            new_layer[rel] = (src[keep], dst[keep], etxn[keep])
-        layers.append(new_layer)
-    return Subgraph(sub.depth, sub.levels_c, sub.levels_t, tuple(layers),
-                    sub.self_c, sub.self_t)
-
-
 # ---------------------------------------------------------------------------
 # ingestion: line-delimited records
 
 
-def _require(obj: dict, key: str, path: str, line_no: int):
-    if key not in obj:
-        raise IngestError(f"{path}:{line_no}: missing field {key!r}")
-    return obj[key]
+def read_records(path: str, parse) -> list:
+    """`parse(obj)` of every non-blank JSON line of a file, in order.
+
+    A line that is not JSON, lacks a field or holds a value of the wrong
+    type raises IngestError naming the file and line.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except KeyError as e:
+                raise IngestError(f"{path}:{n}: missing field {e}") from e
+            except (TypeError, ValueError) as e:
+                raise IngestError(f"{path}:{n}: bad record: {e}") from e
+    return out
 
 
 def load_profiles(path: str) -> list[CustomerProfile]:
-    profiles = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IngestError(f"{path}:{n}: bad record: {e}") from e
-            profiles.append(CustomerProfile(
-                customer_id=str(_require(obj, "customer_id", path, n)),
-                features=np.asarray(_require(obj, "features", path, n), dtype=np.float64)))
-    return profiles
+    return read_records(path, lambda obj: CustomerProfile(
+        customer_id=str(obj["customer_id"]),
+        features=np.asarray(obj["features"], dtype=np.float64)))
 
 
 def load_transactions(path: str) -> list[RawTransaction]:
-    txns = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IngestError(f"{path}:{n}: bad record: {e}") from e
-            txns.append(RawTransaction(
-                txn_id=str(_require(obj, "txn_id", path, n)),
-                source_customer=str(_require(obj, "source", path, n)),
-                dest_customer=str(_require(obj, "dest", path, n)),
-                timestamp=float(_require(obj, "timestamp", path, n)),
-                features=np.asarray(_require(obj, "features", path, n), dtype=np.float64)))
-    return txns
+    return read_records(path, lambda obj: RawTransaction(
+        txn_id=str(obj["txn_id"]),
+        source_customer=str(obj["source"]),
+        dest_customer=str(obj["dest"]),
+        timestamp=float(obj["timestamp"]),
+        features=np.asarray(obj["features"], dtype=np.float64)))
 
 
 def write_profiles(path: str, profiles: Iterable[CustomerProfile]) -> None:
@@ -681,19 +656,22 @@ def save_graph(g: BipartiteGraph, path: str) -> None:
 
 def load_graph(path: str) -> BipartiteGraph:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
+        if fh.read(4) != _MAGIC:
             raise IngestError(f"{path}: not a graph snapshot")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise IngestError(f"{path}: unsupported snapshot version {version}")
-        customer_ids = _read_strings(fh)
-        txn_ids = _read_strings(fh)
-        x_c = read_array(fh)
-        x_t = read_array(fh)
-        o_src = _read_ints(fh)
-        i_dst = _read_ints(fh)
-        timestamps = read_array(fh)
-        stats = {key: read_array(fh) for key in ("c_mean", "c_std", "t_mean", "t_std")}
-    return BipartiteGraph(customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
-                          timestamps, stats)
+        try:
+            (version,) = struct.unpack("<I", fh.read(4))
+            if version != _VERSION:
+                raise IngestError(f"{path}: unsupported snapshot version {version}")
+            customer_ids = _read_strings(fh)
+            txn_ids = _read_strings(fh)
+            x_c = read_array(fh)
+            x_t = read_array(fh)
+            o_src = _read_ints(fh)
+            i_dst = _read_ints(fh)
+            timestamps = read_array(fh)
+            stats = {key: read_array(fh)
+                     for key in ("c_mean", "c_std", "t_mean", "t_std")}
+            return BipartiteGraph(customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
+                                  timestamps, stats)
+        except (struct.error, ValueError) as e:
+            raise IngestError(f"{path}: truncated or corrupt graph snapshot: {e}") from e

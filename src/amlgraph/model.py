@@ -361,19 +361,22 @@ def load_model(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise IngestError(f"{path}: not a model checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CKPT_VERSION:
-            raise IngestError(f"{path}: unsupported checkpoint version {version}")
-        kind = _read_str(fh)
-        d_c, d_t, num_layers, hidden, heads = struct.unpack("<5I", fh.read(20))
-        params = init_params(kind, d_c, d_t, num_layers, hidden, heads, seed=0)
-        for name, tensor in params.named_parameters():
-            arr = read_array(fh)
-            if arr.shape != tensor.shape:
-                raise IngestError(f"{path}: shape mismatch for {name}")
-            tensor.data = arr
-        for site in params.bn:
-            for tau in ("c", "t"):
-                site[tau]["state"].running_mean = read_array(fh)
-                site[tau]["state"].running_var = read_array(fh)
+        try:
+            (version,) = struct.unpack("<I", fh.read(4))
+            if version != _CKPT_VERSION:
+                raise IngestError(f"{path}: unsupported checkpoint version {version}")
+            kind = _read_str(fh)
+            d_c, d_t, num_layers, hidden, heads = struct.unpack("<5I", fh.read(20))
+            params = init_params(kind, d_c, d_t, num_layers, hidden, heads, seed=0)
+            for name, tensor in params.named_parameters():
+                arr = read_array(fh)
+                if arr.shape != tensor.shape:
+                    raise IngestError(f"{path}: shape mismatch for {name}")
+                tensor.data = arr
+            for site in params.bn:
+                for tau in ("c", "t"):
+                    site[tau]["state"].running_mean = read_array(fh)
+                    site[tau]["state"].running_var = read_array(fh)
+        except (struct.error, ValueError) as e:
+            raise IngestError(f"{path}: truncated or corrupt checkpoint: {e}") from e
     return params

@@ -19,7 +19,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, DimensionError
 
 BCE_EPS = 1e-7
 BN_EPS = 1e-5
@@ -27,14 +27,6 @@ BN_MOMENTUM = 0.1
 LEAKY_SLOPE = 0.2
 
 _local = threading.local()
-
-_check_finite = False
-
-
-def set_check_finite(flag: bool) -> None:
-    """Globally enable/disable NaN/Inf checks on every op output (slow)."""
-    global _check_finite
-    _check_finite = bool(flag)
 
 
 class Tensor:
@@ -125,12 +117,6 @@ def zero_grad(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
-def _out(data: np.ndarray, requires_grad: bool) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise NumericalError("non-finite value produced by a forward op")
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _maybe_record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     tape = active_tape()
     if tape is not None and out.requires_grad:
@@ -157,7 +143,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul expects 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out = _out(a.data @ b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
         ga = g @ b.data.T if a.requires_grad else None
@@ -172,7 +158,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as e:
         raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}") from e
-    out = _out(data, a.requires_grad or b.requires_grad)
+    out = Tensor(data, a.requires_grad or b.requires_grad)
 
     def backward(g):
         ga = _unbroadcast(g, a.shape) if a.requires_grad else None
@@ -187,7 +173,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as e:
         raise DimensionError(f"hadamard shapes incompatible: {a.shape} * {b.shape}") from e
-    out = _out(data, a.requires_grad or b.requires_grad)
+    out = Tensor(data, a.requires_grad or b.requires_grad)
 
     def backward(g):
         ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
@@ -198,7 +184,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = _out(a.data * s, a.requires_grad)
+    out = Tensor(a.data * s, a.requires_grad)
 
     def backward(g):
         return (g * s,)
@@ -207,7 +193,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _out(np.maximum(x.data, 0.0), x.requires_grad)
+    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
 
     def backward(g):
         return (g * (x.data > 0.0),)
@@ -216,7 +202,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    out = _out(np.where(x.data > 0.0, x.data, slope * x.data), x.requires_grad)
+    out = Tensor(np.where(x.data > 0.0, x.data, slope * x.data), x.requires_grad)
 
     def backward(g):
         return (g * np.where(x.data > 0.0, 1.0, slope),)
@@ -228,7 +214,7 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = _out(s, x.requires_grad)
+    out = Tensor(s, x.requires_grad)
 
     def backward(g):
         return (g * s * (1.0 - s),)
@@ -248,7 +234,7 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
         return x
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
     keep = (gen.random(x.shape) >= p) / (1.0 - p)
-    out = _out(x.data * keep, x.requires_grad)
+    out = Tensor(x.data * keep, x.requires_grad)
 
     def backward(g):
         return (g * keep,)
@@ -263,7 +249,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
         raise DimensionError(f"concat shapes incompatible along axis {axis}") from e
-    out = _out(data, any(t.requires_grad for t in tensors))
+    out = Tensor(data, any(t.requires_grad for t in tensors))
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -275,7 +261,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _out(x.data.reshape(shape), x.requires_grad)
+    out = Tensor(x.data.reshape(shape), x.requires_grad)
 
     def backward(g):
         return (g.reshape(x.shape),)
@@ -286,7 +272,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose2d(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("transpose2d expects a 2-D tensor")
-    out = _out(x.data.T, x.requires_grad)
+    out = Tensor(x.data.T, x.requires_grad)
 
     def backward(g):
         return (g.T,)
@@ -295,7 +281,7 @@ def transpose2d(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = _out(np.asarray(x.data.sum()), x.requires_grad)
+    out = Tensor(np.asarray(x.data.sum()), x.requires_grad)
 
     def backward(g):
         return (np.broadcast_to(g, x.shape).copy(),)
@@ -308,7 +294,7 @@ def mean_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("mean_rows expects a 2-D tensor")
     n = x.shape[0]
-    out = _out(x.data.mean(axis=0, keepdims=True), x.requires_grad)
+    out = Tensor(x.data.mean(axis=0, keepdims=True), x.requires_grad)
 
     def backward(g):
         return (np.broadcast_to(g / n, x.shape).copy(),)
@@ -323,7 +309,7 @@ def mean_rows(x: Tensor) -> Tensor:
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of x: out[i] = x[idx[i]]. Backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = _out(x.data[idx], x.requires_grad)
+    out = Tensor(x.data[idx], x.requires_grad)
 
     def backward(g):
         gx = np.zeros_like(x.data)
@@ -340,7 +326,7 @@ def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
         raise DimensionError("segment ids must match the leading dim of x")
     data = np.zeros((num_segments,) + x.shape[1:], dtype=np.float64)
     np.add.at(data, segments, x.data)
-    out = _out(data, x.requires_grad)
+    out = Tensor(data, x.requires_grad)
 
     def backward(g):
         return (g[segments],)
@@ -366,7 +352,7 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
     denom = np.zeros((num_segments,) + tail)
     np.add.at(denom, segments, e)
     y = e / denom[segments]
-    out = _out(y, logits.requires_grad)
+    out = Tensor(y, logits.requires_grad)
 
     def backward(g):
         gy = g * y
@@ -420,8 +406,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) * inv_std
-    out = _out(xhat * gamma.data + beta.data,
-               x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    out = Tensor(xhat * gamma.data + beta.data,
+                 x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def backward(g):
         ggamma = (g * xhat).sum(axis=0) if gamma.requires_grad else None
@@ -446,7 +432,7 @@ def bce(pred: Tensor, target) -> Tensor:
     t = np.broadcast_to(t, pred.shape)
     p = np.clip(pred.data, BCE_EPS, 1.0 - BCE_EPS)
     loss = np.asarray(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).mean())
-    out = _out(loss, pred.requires_grad)
+    out = Tensor(loss, pred.requires_grad)
     inside = (pred.data > BCE_EPS) & (pred.data < 1.0 - BCE_EPS)
 
     def backward(g):

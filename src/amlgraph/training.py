@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericalError
 from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
                     RawTransaction, as_rng, check_direction, extend_graph,
-                    sample_negatives, sample_neighborhood,
+                    read_records, sample_negatives, sample_neighborhood,
                     sample_neighborhood_nodes)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
 from .ndtensor import Tensor, bce, gather_rows, reshape, scale, zero_grad
@@ -53,22 +53,27 @@ class TrainingConfig:
     def validate(self) -> None:
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (batch norm needs it)")
         if self.negatives < 1:
             raise ConfigError("negatives must be >= 1")
         if self.fanout < 1:
             raise ConfigError("fanout must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        validate_fit_config(self)
+
+
+def validate_fit_config(config) -> None:
+    """Checks on the fields every trainer's config shares."""
+    if config.learning_rate <= 0:
+        raise ConfigError("learning_rate must be positive")
+    if config.batch_size < 2:
+        raise ConfigError("batch_size must be >= 2 (batch norm needs it)")
+    if not 0.0 <= config.dropout < 1.0:
+        raise ConfigError("dropout must be in [0, 1)")
+    if config.max_epochs < 1:
+        raise ConfigError("max_epochs must be >= 1")
+    if config.patience < 0:
+        raise ConfigError("patience must be >= 0")
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
 
 
 class AdamState:
@@ -91,6 +96,47 @@ def adam_step(state: AdamState, params: list[Tensor], lr: float) -> None:
         state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
         state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
         p.data = p.data - lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + ADAM_EPS)
+
+
+def descend(tensors: list[Tensor], adam: AdamState, lr: float, loss_fn) -> float:
+    """One gradient step: record `loss_fn()` on a tape, backpropagate, Adam.
+
+    Returns the loss; a non-finite loss raises NumericalError before any
+    parameter moves.
+    """
+    zero_grad(tensors)
+    with nd.Tape() as tape:
+        loss = loss_fn()
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise NumericalError(f"training loss is not finite ({value})")
+    tape.backward(loss)
+    adam_step(adam, tensors, lr)
+    return value
+
+
+def run_epochs(max_epochs: int, patience: int, epoch_fn, snapshot
+               ) -> tuple[object, list[dict]]:
+    """Early-stopping loop shared by every trainer.
+
+    `epoch_fn(epoch)` trains one epoch and returns (history row, monitored
+    loss). Keeps `snapshot()` of the best epoch (the initial state until a
+    loss improves on infinity; NaN never does) and stops once the loss has
+    failed to improve for `patience` consecutive epochs (at least one).
+    Returns the best snapshot and one history row per epoch run.
+    """
+    best_loss, best, bad = np.inf, snapshot(), 0
+    history: list[dict] = []
+    for epoch in range(max_epochs):
+        row, loss = epoch_fn(epoch)
+        history.append(row)
+        if loss < best_loss:
+            best_loss, best, bad = loss, snapshot(), 0
+        else:
+            bad += 1
+            if bad >= max(patience, 1):
+                break
+    return best, history
 
 
 def link_loss(pos_preds: Tensor, neg_preds: Tensor) -> Tensor:
@@ -166,20 +212,15 @@ def train_step(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
     pos_c = g.edge_endpoints(direction)[pos_t]
     neg_c, neg_t = sample_negatives(g, pos_t.size * config.negatives,
                                     direction, rng)
-    tensors = params.parameters()
-    zero_grad(tensors)
-    with nd.Tape() as tape:
+
+    def loss_fn():
         y_pos, y_neg, _ = _forward_pairs(
             params, msg_g, direction, pos_c, pos_t, neg_c, neg_t,
             config.fanout, rng, training=True, dropout_p=config.dropout,
             dropout_rng=rng)
-        loss = link_loss(y_pos, reshape(y_neg, (pos_t.size, config.negatives)))
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise NumericalError(f"training loss is not finite ({value})")
-    tape.backward(loss)
-    adam_step(adam, tensors, config.learning_rate)
-    return value
+        return link_loss(y_pos, reshape(y_neg, (pos_t.size, config.negatives)))
+
+    return descend(params.parameters(), adam, config.learning_rate, loss_fn)
 
 
 def _validation_negatives(g, split, config):
@@ -238,12 +279,7 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
     rng = as_rng(np.random.SeedSequence([config.seed, 1]))
     val_negs = _validation_negatives(g, split, config)
 
-    best_val = np.inf
-    best_params = params.copy()
-    bad_epochs = 0
-    history: list[dict] = []
-    stop_after = max(config.patience, 1)
-    for epoch in range(config.max_epochs):
+    def train_epoch(epoch):
         chunks = []
         for d in DIRECTIONS:
             sup = split.supervision[d]
@@ -268,17 +304,9 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
                                      adam, rng, batch=batch))
         val = validation_loss(params, g, msg_g, split, config, val_negs)
         train_loss = float(np.mean(losses)) if losses else float("nan")
-        history.append({"epoch": epoch, "train_loss": train_loss,
-                        "val_loss": val})
-        if val < best_val:
-            best_val = val
-            best_params = params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= stop_after:
-                break
-    return best_params, history
+        return {"epoch": epoch, "train_loss": train_loss, "val_loss": val}, val
+
+    return run_epochs(config.max_epochs, config.patience, train_epoch, params.copy)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +470,9 @@ def write_results(path: str, results: list[AnomalyResult]) -> None:
 
 
 def read_results(path: str) -> list[AnomalyResult]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(AnomalyResult(obj["txn_id"], obj["direction"],
-                                     obj["customer_id"], obj["y_hat"],
-                                     obj["anomaly_score"], obj["cold_start"]))
-    return out
+    return read_records(path, lambda obj: AnomalyResult(
+        obj["txn_id"], obj["direction"], obj["customer_id"], obj["y_hat"],
+        obj["anomaly_score"], obj["cold_start"]))
 
 
 def write_metrics_log(path: str, history: list[dict]) -> None:

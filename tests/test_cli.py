@@ -247,3 +247,61 @@ class TestExitCodes:
     def test_unknown_flag_is_1(self, tmp_path):
         assert run("gen-data", "--out-dir", str(tmp_path / "d"),
                    "--no-such-flag", "7") == 1
+
+
+class TestMalformedInput:
+    """Bad data ends in exit 2 with no output file, never a traceback."""
+
+    def _score(self, pipeline, tmp_path, graph=None, transactions=None):
+        out = tmp_path / "scores.jsonl"
+        code = run("score", "--graph", graph or pipeline["graph"],
+                   "--model", pipeline["model"], "--transactions",
+                   transactions or os.path.join(pipeline["data"],
+                                                "transactions_test.jsonl"),
+                   "--out", str(out), "--fanout", "8")
+        return code, out
+
+    def test_non_finite_feature_is_2(self, pipeline, tmp_path):
+        new = tmp_path / "new.jsonl"
+        new.write_text('{"txn_id": "nan0", "source": "c000001", "dest": '
+                       '"c000002", "timestamp": 99.0, '
+                       '"features": [NaN, 0.0, 0.0, 0.0]}\n')
+        code, out = self._score(pipeline, tmp_path, transactions=str(new))
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_numeric_feature_is_2(self, pipeline, tmp_path):
+        new = tmp_path / "new.jsonl"
+        new.write_text('{"txn_id": "s0", "source": "c000001", "dest": '
+                       '"c000002", "timestamp": 99.0, '
+                       '"features": ["a", 0.0, 0.0, 0.0]}\n')
+        code, out = self._score(pipeline, tmp_path, transactions=str(new))
+        assert code == 2
+        assert not out.exists()
+
+    def test_truncated_graph_is_2(self, pipeline, tmp_path):
+        cut = tmp_path / "graph.bin"
+        blob = open(pipeline["graph"], "rb").read()
+        cut.write_bytes(blob[:len(blob) // 2 + 3])
+        code, out = self._score(pipeline, tmp_path, graph=str(cut))
+        assert code == 2
+        assert not out.exists()
+
+    def test_scores_missing_field_is_2(self, pipeline, tmp_path):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps({
+            "txn_id": "t0", "customer_id": "c0", "y_hat": 0.5,
+            "anomaly_score": 0.5, "cold_start": False}) + "\n")
+        out = tmp_path / "report.json"
+        assert run("evaluate", "--scores", str(scores), "--labels",
+                   os.path.join(pipeline["data"], "labels.jsonl"),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_non_numeric_embedding_is_2(self, tmp_path):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("node_type\tnode_id\td0\ncustomer\tc0\tx\n")
+        out = tmp_path / "drift.jsonl"
+        assert run("diverge", "--embeddings", str(emb), str(emb),
+                   "--out", str(out)) == 2
+        assert not out.exists()

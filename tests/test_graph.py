@@ -1,9 +1,12 @@
 """Graph construction, splits, neighborhood sampling, severing, negatives."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amlgraph import graph as gr
 from amlgraph.errors import ConfigError, IngestError, SamplingError
@@ -367,12 +370,20 @@ class TestNeighborhood:
 
 
 class TestSever:
+    """Severing is the sampler's removed_out/removed_in mask; the oracle is
+    the same records rebuilt with the severed endpoints set to EXTERNAL."""
+
+    @staticmethod
+    def mask(g, names):
+        removed = np.zeros(g.n_transactions, dtype=bool)
+        removed[[g.txn_index[n] for n in names]] = True
+        return removed
+
     def test_sever_outgoing_keeps_incoming(self):
         g = toy_graph()
         t0 = g.txn_index["t0"]
-        sub = gr.sample_neighborhood_nodes(g, [0, 1], [t0], fanout=32,
-                                           num_layers=2, seed=0)
-        cut = gr.sever_edges(sub, [t0], gr.OUTGOING)
+        cut = gr.sample_neighborhood_nodes(g, [0, 1], [t0], fanout=32, num_layers=2,
+                                           seed=0, removed_out=self.mask(g, ["t0"]))
         for layer in cut.layers:
             assert t0 not in layer[gr.OUT_FWD][2]
             assert t0 not in layer[gr.OUT_REV][2]
@@ -381,19 +392,56 @@ class TestSever:
     def test_sever_missing_edge_noop(self):
         g = toy_graph()
         sub = gr.sample_neighborhood_nodes(g, [0], [], fanout=32, num_layers=2, seed=0)
-        t3 = g.txn_index["t3"]  # not in this neighborhood's incoming edges
-        cut = gr.sever_edges(sub, [t3], gr.INCOMING)
+        # t3 is not among this neighborhood's incoming edges
+        cut = gr.sample_neighborhood_nodes(g, [0], [], fanout=32, num_layers=2, seed=0,
+                                           removed_in=self.mask(g, ["t3"]))
         assert subgraphs_equal(sub, cut)
 
     def test_other_direction_untouched(self):
         g = toy_graph()
         sub = gr.sample_neighborhood_nodes(g, [0, 1, 2], [], fanout=32,
                                            num_layers=2, seed=0)
-        cut = gr.sever_edges(sub, [g.txn_index["t1"]], gr.INCOMING)
+        cut = gr.sample_neighborhood_nodes(g, [0, 1, 2], [], fanout=32, num_layers=2,
+                                           seed=0, removed_in=self.mask(g, ["t1"]))
+        t1 = g.txn_index["t1"]
+        assert any(t1 in layer[gr.IN_FWD][2] for layer in sub.layers)
+        assert not any(t1 in layer[gr.IN_FWD][2] for layer in cut.layers)
         for before, after in zip(sub.layers, cut.layers):
             for rel in (gr.OUT_FWD, gr.OUT_REV):
                 for u, v in zip(before[rel], after[rel]):
                     np.testing.assert_array_equal(u, v)
+
+    @given(data_seed=st.integers(0, 2 ** 32 - 1),
+           sample_seed=st.integers(0, 2 ** 32 - 1),
+           direction=st.sampled_from(gr.DIRECTIONS),
+           fanout=st.integers(1, 4), num_layers=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_mask_equals_rebuilt_graph(self, data_seed, sample_seed, direction,
+                                       fanout, num_layers):
+        rng = np.random.default_rng(data_seed)
+        txns, profiles = random_records(rng, n_c=8, n_t=60)
+        g = gr.build_graph(txns, profiles)
+        other = gr.INCOMING if direction == gr.OUTGOING else gr.OUTGOING
+        # the other side stays known, so the rebuilt records stay valid
+        severable = np.flatnonzero((g.edge_endpoints(direction) >= 0)
+                                   & (g.edge_endpoints(other) >= 0))
+        victims = rng.choice(severable, replace=False,
+                             size=int(rng.integers(1, severable.size + 1)))
+        removed = np.zeros(g.n_transactions, dtype=bool)
+        removed[victims] = True
+        cut = {g.txn_ids[v] for v in victims}
+        side = "source_customer" if direction == gr.OUTGOING else "dest_customer"
+        rebuilt = gr.build_graph(
+            [dataclasses.replace(t, **{side: gr.EXTERNAL}) if t.txn_id in cut
+             else t for t in txns], profiles)
+        seeds_c = rng.choice(g.n_customers, size=2, replace=False)
+        seeds_t = rng.choice(g.n_transactions, size=3, replace=False)
+        mask = {"removed_out" if direction == gr.OUTGOING else "removed_in": removed}
+        a = gr.sample_neighborhood_nodes(g, seeds_c, seeds_t, fanout, num_layers,
+                                         sample_seed, **mask)
+        b = gr.sample_neighborhood_nodes(rebuilt, seeds_c, seeds_t, fanout,
+                                         num_layers, sample_seed)
+        assert subgraphs_equal(a, b)
 
 
 class TestExtend:
@@ -418,6 +466,13 @@ class TestExtend:
             gr.extend_graph(g, [gr.RawTransaction("t0", "c0", "c1", 0.0,
                                                   np.array([0.0, 0.0]))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        g = toy_graph()
+        with pytest.raises(IngestError, match="non-finite"):
+            gr.extend_graph(g, [gr.RawTransaction("x0", "c0", "c1", 0.0,
+                                                  np.array([1.0, bad]))])
+
 
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
@@ -441,6 +496,19 @@ class TestPersistence:
         with pytest.raises(IngestError):
             gr.load_profiles(str(bad))
 
+    @pytest.mark.parametrize("line", [
+        '{"txn_id": "t", "source": "a", "dest": "b", "timestamp": 1.0, "features": ["x"]}',
+        '{"txn_id": "t", "source": "a", "dest": "b", "timestamp": "noon", "features": [1.0]}',
+        '{"txn_id": "t", "source": "a", "dest": "b", "timestamp": 1.0}',
+        '["t", "a", "b", 1.0, [1.0]]',
+    ])
+    def test_transaction_bad_values_rejected(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"txn_id": "ok", "source": "a", "dest": "b", '
+                       '"timestamp": 0.0, "features": [1.0]}\n' + line + "\n")
+        with pytest.raises(IngestError, match="bad.jsonl:2:"):
+            gr.load_transactions(str(bad))
+
     def test_snapshot_round_trip(self, tmp_path):
         rng = np.random.default_rng(18)
         txns, profiles = random_records(rng)
@@ -457,6 +525,15 @@ class TestPersistence:
         np.testing.assert_array_equal(g.out_indptr, g2.out_indptr)
         for k in g.stats:
             np.testing.assert_array_equal(g.stats[k], g2.stats[k])
+
+    def test_snapshot_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        gr.save_graph(toy_graph(), str(path))
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(IngestError):
+                gr.load_graph(str(path))
 
     def test_snapshot_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

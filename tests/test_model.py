@@ -6,7 +6,7 @@ import pytest
 from amlgraph import graph as gr
 from amlgraph import model as md
 from amlgraph import ndtensor as nd
-from amlgraph.errors import ConfigError, DimensionError
+from amlgraph.errors import ConfigError, DimensionError, IngestError
 
 
 def make_graph(seed=0, n_c=6, n_t=18, d_c=5, d_t=3):
@@ -389,3 +389,12 @@ class TestCheckpoint:
         p.write_bytes(b"JUNKJUNK")
         with pytest.raises(Exception):
             md.load_model(str(p))
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        md.save_model(md.init_params("gat", 2, 2, 1, 2, 1, seed=0), str(path))
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(IngestError):
+                md.load_model(str(path))

@@ -4,7 +4,7 @@ import pytest
 import amlgraph.graph as gr
 import amlgraph.ndtensor as nd
 import amlgraph.training as tr
-from amlgraph.errors import ConfigError
+from amlgraph.errors import ConfigError, NumericalError
 from amlgraph.model import init_params
 from amlgraph.ndtensor import Tensor
 
@@ -190,6 +190,70 @@ class TestTrainStep:
         with pytest.raises(ConfigError):
             tr.train_step(params, g, msg, split, cfg, gr.OUTGOING, adam,
                           np.random.default_rng(0))
+
+
+class TestDescend:
+    def test_one_adam_step_returns_loss(self):
+        p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        p.grad = np.full((1, 2), 1e6)   # stale gradient must not leak in
+        adam = tr.AdamState([p])
+        value = tr.descend([p], adam, 0.1,
+                           lambda: nd.sum_all(nd.hadamard(p, p)))
+        assert value == 5.0
+        np.testing.assert_array_equal(p.grad, [[2.0, -4.0]])
+        # the first Adam step moves each coordinate by lr against its sign
+        np.testing.assert_allclose(p.data, [[0.9, -1.9]], rtol=0, atol=1e-9)
+        assert adam.step_count == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_moves_nothing(self, bad):
+        p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        adam = tr.AdamState([p])
+        with pytest.raises(NumericalError):
+            tr.descend([p], adam, 0.1,
+                       lambda: nd.scale(nd.sum_all(nd.hadamard(p, p)), bad))
+        np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
+        assert adam.step_count == 0
+
+
+class TestRunEpochs:
+    """The shared early-stop loop on scripted losses. The snapshot is
+    the index of the last epoch run, -1 before the first."""
+
+    @staticmethod
+    def drive(losses, patience, max_epochs=None):
+        state = {"epoch": -1}
+
+        def epoch_fn(epoch):
+            state["epoch"] = epoch
+            return {"epoch": epoch, "loss": losses[epoch]}, losses[epoch]
+
+        best, history = tr.run_epochs(
+            len(losses) if max_epochs is None else max_epochs, patience,
+            epoch_fn, lambda: state["epoch"])
+        return best, [row["epoch"] for row in history]
+
+    def test_returns_best_snapshot_not_last(self):
+        assert self.drive([3.0, 1.0, 2.0, 2.5], patience=5) == (1, [0, 1, 2, 3])
+
+    def test_stops_after_patience_bad_epochs(self):
+        # the counter resets on every improvement
+        best, epochs = self.drive([3.0, 4.0, 2.0, 5.0, 6.0, 0.1], patience=2)
+        assert (best, epochs) == (2, [0, 1, 2, 3, 4])
+
+    def test_patience_zero_behaves_like_one(self):
+        losses = [3.0, 1.0, 2.0, 0.5]
+        assert self.drive(losses, patience=0) == self.drive(losses, patience=1)
+        assert self.drive(losses, patience=0) == (1, [0, 1, 2])
+
+    def test_nan_never_improves(self):
+        assert self.drive([np.nan, np.nan], patience=5) == (-1, [0, 1])
+        assert self.drive([2.0, np.nan, 1.0], patience=5) == (2, [0, 1, 2])
+        assert self.drive([2.0, np.nan, 1.0], patience=1) == (0, [0, 1])
+
+    def test_stops_at_max_epochs(self):
+        losses = [5.0, 4.0, 3.0, 2.0, 1.0]
+        assert self.drive(losses, patience=1, max_epochs=3) == (2, [0, 1, 2])
 
 
 class TestFit:
