@@ -15,6 +15,7 @@ bitwise-identical graph.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -76,22 +77,33 @@ class BipartiteGraph:
     ``o_src[t]`` is the customer index spending into transaction t (or -1),
     ``i_dst[t]`` the customer index receiving from it (or -1). Per-customer
     adjacency is kept in CSR form with neighbor lists sorted ascending.
+    The id -> index dicts ``customer_index`` and ``txn_index`` are built on
+    first use, so a graph that is never looked up by id never pays for them.
+    ``_adjacency`` (out_indptr, out_indices, in_indptr, in_indices) lets
+    `extend_graph` hand over CSR arrays it spliced instead of a rebuild.
     """
 
     def __init__(self, customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
-                 timestamps, stats):
+                 timestamps, stats, _adjacency=None):
         self.customer_ids: tuple[str, ...] = tuple(customer_ids)
         self.txn_ids: tuple[str, ...] = tuple(txn_ids)
-        self.customer_index = {cid: i for i, cid in enumerate(self.customer_ids)}
-        self.txn_index = {tid: i for i, tid in enumerate(self.txn_ids)}
         self.x_c = x_c
         self.x_t = x_t
         self.o_src = o_src
         self.i_dst = i_dst
         self.timestamps = timestamps
         self.stats = stats  # raw-space feature means/stds, keys c_mean/c_std/t_mean/t_std
-        self.out_indptr, self.out_indices = _csr(o_src, self.n_customers)
-        self.in_indptr, self.in_indices = _csr(i_dst, self.n_customers)
+        if _adjacency is None:
+            _adjacency = _csr(o_src, self.n_customers) + _csr(i_dst, self.n_customers)
+        self.out_indptr, self.out_indices, self.in_indptr, self.in_indices = _adjacency
+
+    @functools.cached_property
+    def customer_index(self) -> dict[str, int]:
+        return {cid: i for i, cid in enumerate(self.customer_ids)}
+
+    @functools.cached_property
+    def txn_index(self) -> dict[str, int]:
+        return {tid: i for i, tid in enumerate(self.txn_ids)}
 
     @property
     def n_customers(self) -> int:
@@ -128,15 +140,25 @@ class BipartiteGraph:
         return (raw - self.stats["t_mean"]) / self.stats["t_std"]
 
 
+def _append_csr(indptr: np.ndarray, indices: np.ndarray, owners: np.ndarray,
+                txns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New CSR arrays with edges owners[k] -> txns[k] added; inputs untouched.
+
+    `txns` must be ascending and larger than every index already stored:
+    each edge then goes at the end of its owner's row (a stable sort by
+    owner keeps equal owners in `txns` order), so rows stay sorted.
+    """
+    order = np.argsort(owners, kind="stable")
+    owners, txns = owners[order], txns[order]
+    new_indptr = indptr.copy()
+    new_indptr[1:] += np.cumsum(np.bincount(owners, minlength=len(indptr) - 1))
+    return new_indptr, np.insert(indices, indptr[owners + 1], txns)
+
+
 def _csr(endpoint: np.ndarray, n_customers: int) -> tuple[np.ndarray, np.ndarray]:
     txns = np.flatnonzero(endpoint >= 0).astype(np.int64)
-    owners = endpoint[txns]
-    order = np.lexsort((txns, owners))
-    indices = txns[order]
-    counts = np.bincount(owners, minlength=n_customers)
-    indptr = np.zeros(n_customers + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, indices
+    return _append_csr(np.zeros(n_customers + 1, dtype=np.int64),
+                       np.empty(0, dtype=np.int64), endpoint[txns], txns)
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,6 +244,11 @@ def extend_graph(g: BipartiteGraph, transactions: Sequence[RawTransaction]
     New features are standardized with the reference statistics. Unknown
     (non-EXTERNAL) customers produce no edge and a cold flag instead of a
     failure. New nodes take indices n_transactions .. in input order.
+
+    The cost is O(new transactions) plus one copy of each array: the new
+    edges are spliced onto the end of their owners' CSR rows, which keeps
+    every row sorted because the new indices exceed all existing ones, and
+    the extended graph's id -> index dicts are only built if looked up.
     """
     n0 = g.n_transactions
     seen = set()
@@ -254,12 +281,17 @@ def extend_graph(g: BipartiteGraph, transactions: Sequence[RawTransaction]
         tid_new.append(t.txn_id)
 
     x_t = np.vstack([g.x_t] + [r[None, :] for r in rows]) if rows else g.x_t
+    o_new = np.asarray(o_new, dtype=np.int64)
+    i_new = np.asarray(i_new, dtype=np.int64)
+    new_txns = np.arange(n0, n0 + len(tid_new), dtype=np.int64)
+    has_out, has_in = o_new >= 0, i_new >= 0
+    adjacency = (_append_csr(g.out_indptr, g.out_indices, o_new[has_out], new_txns[has_out])
+                 + _append_csr(g.in_indptr, g.in_indices, i_new[has_in], new_txns[has_in]))
     g2 = BipartiteGraph(
-        g.customer_ids, list(g.txn_ids) + tid_new, g.x_c, x_t,
-        np.concatenate([g.o_src, np.asarray(o_new, dtype=np.int64)]),
-        np.concatenate([g.i_dst, np.asarray(i_new, dtype=np.int64)]),
+        g.customer_ids, g.txn_ids + tuple(tid_new), g.x_c, x_t,
+        np.concatenate([g.o_src, o_new]), np.concatenate([g.i_dst, i_new]),
         np.concatenate([g.timestamps, np.asarray(ts_new)]),
-        g.stats)
+        g.stats, _adjacency=adjacency)
     return g2, infos
 
 
@@ -671,7 +703,33 @@ def load_graph(path: str) -> BipartiteGraph:
             timestamps = read_array(fh)
             stats = {key: read_array(fh)
                      for key in ("c_mean", "c_std", "t_mean", "t_std")}
-            return BipartiteGraph(customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
-                                  timestamps, stats)
         except (struct.error, ValueError) as e:
             raise IngestError(f"{path}: truncated or corrupt graph snapshot: {e}") from e
+    _check_snapshot(path, len(customer_ids), len(txn_ids), x_c, x_t, o_src,
+                    i_dst, timestamps, stats)
+    return BipartiteGraph(customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
+                          timestamps, stats)
+
+
+def _check_snapshot(path, n_c, n_t, x_c, x_t, o_src, i_dst, timestamps, stats):
+    """Array shapes agree with the id lists and endpoints are in range.
+
+    Runs before the CSR build, so a corrupt endpoint can neither index out
+    of bounds later nor size an allocation.
+    """
+    def bad(what):
+        return IngestError(f"{path}: corrupt graph snapshot: {what}")
+
+    for name, x, n in (("x_c", x_c, n_c), ("x_t", x_t, n_t)):
+        if x.ndim != 2 or x.shape[0] != n:
+            raise bad(f"{name} has shape {x.shape}, expected {n} rows")
+    for name, arr in (("o_src", o_src), ("i_dst", i_dst), ("timestamps", timestamps)):
+        if arr.shape != (n_t,):
+            raise bad(f"{name} has shape {arr.shape}, expected ({n_t},)")
+    for name, ends in (("o_src", o_src), ("i_dst", i_dst)):
+        if n_t and (ends.min() < -1 or ends.max() >= n_c):
+            raise bad(f"{name} holds a customer index outside [-1, {n_c})")
+    for key, d in (("c_mean", x_c.shape[1]), ("c_std", x_c.shape[1]),
+                   ("t_mean", x_t.shape[1]), ("t_std", x_t.shape[1])):
+        if stats[key].shape != (d,):
+            raise bad(f"{key} has shape {stats[key].shape}, expected ({d},)")

@@ -357,6 +357,16 @@ def save_model(params: ModelParams, path: str) -> None:
                 write_array(fh, site[tau]["state"].running_var)
 
 
+def _check_header(path: str, kind: str, num_layers: int, hidden: int,
+                  heads: int) -> None:
+    """A checkpoint header `init_params` accepts; a bad one is corrupt data."""
+    if kind not in KINDS:
+        raise IngestError(f"{path}: corrupt checkpoint: unknown encoder kind {kind!r}")
+    if num_layers < 1 or hidden < 1 or heads < 1 or hidden % heads:
+        raise IngestError(f"{path}: corrupt checkpoint: num_layers={num_layers}, "
+                          f"hidden={hidden}, heads={heads}")
+
+
 def load_model(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
@@ -367,6 +377,7 @@ def load_model(path: str) -> ModelParams:
                 raise IngestError(f"{path}: unsupported checkpoint version {version}")
             kind = _read_str(fh)
             d_c, d_t, num_layers, hidden, heads = struct.unpack("<5I", fh.read(20))
+            _check_header(path, kind, num_layers, hidden, heads)
             params = init_params(kind, d_c, d_t, num_layers, hidden, heads, seed=0)
             for name, tensor in params.named_parameters():
                 arr = read_array(fh)

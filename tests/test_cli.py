@@ -1,5 +1,7 @@
 import json
 import os
+import struct
+import types
 
 import numpy as np
 import pytest
@@ -284,6 +286,37 @@ class TestMalformedInput:
         blob = open(pipeline["graph"], "rb").read()
         cut.write_bytes(blob[:len(blob) // 2 + 3])
         code, out = self._score(pipeline, tmp_path, graph=str(cut))
+        assert code == 2
+        assert not out.exists()
+
+    def test_inconsistent_graph_is_2(self, pipeline, tmp_path):
+        g = gr.load_graph(pipeline["graph"])
+        bad = types.SimpleNamespace(**{name: getattr(g, name) for name in (
+            "customer_ids", "txn_ids", "x_c", "x_t", "i_dst", "timestamps",
+            "stats")}, o_src=g.o_src[:-1])
+        path = str(tmp_path / "graph.bin")
+        gr.save_graph(bad, path)
+        code, out = self._score(pipeline, tmp_path, graph=path)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("kind", b"gxt"), ("num_layers", 0), ("heads", 0)])
+    def test_corrupt_model_header_is_2(self, pipeline, tmp_path, field, value):
+        blob = bytearray(open(pipeline["model"], "rb").read())
+        (n_kind,) = struct.unpack_from("<I", blob, 8)
+        if field == "kind":
+            blob[12:12 + n_kind] = value
+        else:  # header after the kind: d_c, d_t, num_layers, hidden, heads
+            slot = ("num_layers", "hidden", "heads").index(field) + 2
+            struct.pack_into("<I", blob, 12 + n_kind + 4 * slot, value)
+        model = tmp_path / "model.bin"
+        model.write_bytes(bytes(blob))
+        out = tmp_path / "scores.jsonl"
+        code = run("score", "--graph", pipeline["graph"], "--model", str(model),
+                   "--transactions", os.path.join(pipeline["data"],
+                                                  "transactions_test.jsonl"),
+                   "--out", str(out), "--fanout", "8")
         assert code == 2
         assert not out.exists()
 

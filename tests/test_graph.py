@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import types
 
 import numpy as np
 import pytest
@@ -473,6 +474,90 @@ class TestExtend:
             gr.extend_graph(g, [gr.RawTransaction("x0", "c0", "c1", 0.0,
                                                   np.array([1.0, bad]))])
 
+    @given(data_seed=st.integers(0, 2 ** 32 - 1), n_new=st.integers(0, 8),
+           hub_share=st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_splice_equals_rebuild(self, data_seed, n_new, hub_share):
+        rng = np.random.default_rng(data_seed)
+        txns, profiles = random_records(rng, n_c=6, n_t=int(rng.integers(1, 30)))
+        g = gr.build_graph(txns, profiles)
+        hub = f"c{int(rng.integers(0, 6)):02d}"
+
+        def side():
+            # repeated hub customer, any known customer, cold or EXTERNAL
+            if rng.random() < hub_share:
+                return hub
+            return str(rng.choice([f"c{int(rng.integers(0, 6)):02d}", "ghost",
+                                   gr.EXTERNAL]))
+
+        new = [gr.RawTransaction(f"x{k}", side(), side(), float(k),
+                                 rng.normal(size=g.d_transaction))
+               for k in range(n_new)]
+        g2, infos = gr.extend_graph(g, new)
+        rebuilt = gr.BipartiteGraph(g2.customer_ids, g2.txn_ids, g2.x_c, g2.x_t,
+                                    g2.o_src, g2.i_dst, g2.timestamps, g2.stats)
+        for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+            a, b = getattr(g2, name), getattr(rebuilt, name)
+            assert a.dtype == b.dtype == np.int64, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert [info.txn_index for info in infos] == list(range(g.n_transactions,
+                                                                g2.n_transactions))
+        assert all(g2.txn_index[t] == i for i, t in enumerate(g2.txn_ids))
+        assert len(g2.txn_index) == g2.n_transactions
+        assert all(g2.customer_index[c] == i for i, c in enumerate(g2.customer_ids))
+
+    def test_reference_graph_untouched(self):
+        from amlgraph import model as md
+        from amlgraph import training as tr
+        rng = np.random.default_rng(5)
+        txns, profiles = random_records(rng, n_c=6, n_t=40)
+        g = gr.build_graph(txns, profiles)
+
+        def arrays():
+            out = {name: getattr(g, name) for name in (
+                "x_c", "x_t", "o_src", "i_dst", "timestamps", "out_indptr",
+                "out_indices", "in_indptr", "in_indices")}
+            out.update({f"stats.{k}": v for k, v in g.stats.items()})
+            return out
+
+        before = {name: arr.copy() for name, arr in arrays().items()}
+        for arr in arrays().values():
+            arr.flags.writeable = False  # an in-place write raises
+        new = [gr.RawTransaction("x0", "c00", "c01", 50.0, rng.normal(size=3)),
+               gr.RawTransaction("x1", "c00", "ghost", 51.0, rng.normal(size=3)),
+               gr.RawTransaction("x2", gr.EXTERNAL, "c05", 52.0, rng.normal(size=3))]
+        gr.extend_graph(g, new)
+        params = md.init_params("gat", g.d_customer, g.d_transaction, 2, 8, 2, seed=0)
+        tr.score_transactions(params, g, new, tr.TrainingConfig(fanout=2))
+        for name, arr in arrays().items():
+            assert arr.dtype == before[name].dtype, name
+            assert arr.tobytes() == before[name].tobytes(), name
+        assert g.n_transactions == 40
+
+
+def _corrupt(g, field, value):
+    """A stand-in graph for `save_graph` with one array (or stat) replaced."""
+    attrs = {name: getattr(g, name) for name in (
+        "customer_ids", "txn_ids", "x_c", "x_t", "o_src", "i_dst", "timestamps")}
+    attrs["stats"] = dict(g.stats)
+    (attrs["stats"] if field in g.stats else attrs)[field] = value
+    return types.SimpleNamespace(**attrs)
+
+
+INCONSISTENT_SNAPSHOTS = {
+    "o_src_short": ("o_src", lambda g: g.o_src[:-1]),
+    "i_dst_long": ("i_dst", lambda g: np.append(g.i_dst, -1)),
+    "timestamps_short": ("timestamps", lambda g: g.timestamps[:-1]),
+    "x_c_rows": ("x_c", lambda g: g.x_c[:-1]),
+    "x_t_rows": ("x_t", lambda g: g.x_t[:-1]),
+    "x_t_flat": ("x_t", lambda g: g.x_t.ravel()),
+    "endpoint_high": ("o_src", lambda g: np.where(g.o_src == 0, g.n_customers, g.o_src)),
+    "endpoint_huge": ("i_dst", lambda g: np.where(g.i_dst == 0, 2 ** 62, g.i_dst)),
+    "endpoint_below": ("o_src", lambda g: np.where(g.o_src < 0, -2, g.o_src)),
+    "c_std_short": ("c_std", lambda g: g.stats["c_std"][:-1]),
+    "t_mean_long": ("t_mean", lambda g: np.append(g.stats["t_mean"], 0.0)),
+}
+
 
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
@@ -534,6 +619,15 @@ class TestPersistence:
             path.write_bytes(blob[:n])
             with pytest.raises(IngestError):
                 gr.load_graph(str(path))
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_SNAPSHOTS))
+    def test_snapshot_inconsistent_rejected(self, tmp_path, case):
+        g = toy_graph()
+        path = str(tmp_path / "g.bin")
+        field, value = INCONSISTENT_SNAPSHOTS[case]
+        gr.save_graph(_corrupt(g, field, value(g)), path)
+        with pytest.raises(IngestError, match="corrupt graph snapshot"):
+            gr.load_graph(path)
 
     def test_snapshot_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
