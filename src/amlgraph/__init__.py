@@ -8,8 +8,8 @@ from .graph import (EXTERNAL, INCOMING, OUTGOING, BipartiteGraph,
                     CustomerProfile, RawTransaction, build_graph, extend_graph,
                     load_graph, sample_negatives, sample_neighborhood,
                     save_graph, split_edges)
-from .model import (anomaly_score, decode, encode, gat_attention, init_params,
-                    load_model, save_model)
+from .model import (anomaly_score, decode, encode, init_params, load_model,
+                    save_model)
 from .training import (AnomalyResult, TrainingConfig, fit, link_loss,
                        score_transactions, train_step)
 from .evaluation import average_precision, roc_auc, roc_curve
@@ -23,8 +23,8 @@ __all__ = [
     "EXTERNAL", "INCOMING", "OUTGOING", "BipartiteGraph", "CustomerProfile",
     "RawTransaction", "build_graph", "extend_graph", "load_graph",
     "sample_negatives", "sample_neighborhood", "save_graph", "split_edges",
-    "anomaly_score", "decode", "encode", "gat_attention", "init_params",
-    "load_model", "save_model",
+    "anomaly_score", "decode", "encode", "init_params", "load_model",
+    "save_model",
     "AnomalyResult", "TrainingConfig", "fit", "link_loss",
     "score_transactions", "train_step",
     "average_precision", "roc_auc", "roc_curve",

@@ -147,7 +147,7 @@ def compute_embeddings(params: ModelParams, g: BipartiteGraph,
     sub = full_subgraph(g, params.num_layers)
     capture: list = []
     encode(params, sub, g.x_c, g.x_t, capture=capture)
-    c_idx, z_c, t_idx, z_t = capture[layer]
+    c_idx, z_c, t_idx, z_t, _ = capture[layer]
     c_ids = [g.customer_ids[i] for i in c_idx]
     t_ids = [g.txn_ids[i] for i in t_idx]
     return c_ids, z_c, t_ids, z_t

@@ -10,6 +10,7 @@ it and fits only a decoder on the supervision edges.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +74,7 @@ class MlpParams:
         return out
 
     def copy(self) -> "MlpParams":
-        dup = MlpParams.__new__(MlpParams)
-        dup.d_in = self.d_in
-        dup.widths = self.widths
-        dup.layers = [{k: Tensor(v.data.copy(), requires_grad=True)
-                       for k, v in layer.items()} for layer in self.layers]
-        dup.bn = [{"gamma": Tensor(bn["gamma"].data.copy(), requires_grad=True),
-                   "beta": Tensor(bn["beta"].data.copy(), requires_grad=True),
-                   "state": bn["state"].copy()} for bn in self.bn]
-        dup.out = {k: Tensor(v.data.copy(), requires_grad=True)
-                   for k, v in self.out.items()}
-        return dup
+        return deepcopy(self)
 
 
 def mlp_forward(params: MlpParams, x: Tensor, training: bool = False,

@@ -85,6 +85,16 @@ def _effective(args, names: dict) -> dict:
     return out
 
 
+def _num(cfg: dict, key: str, cast):
+    """cfg[key] converted by `cast` (int or float); a value of the wrong
+    type is a config error naming the key."""
+    try:
+        return cast(cfg[key])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config key {key!r}: expected {cast.__name__}, "
+                          f"got {cfg[key]!r}") from e
+
+
 GEN_DEFAULTS = {
     "n-customers": 5000, "n-transactions": 25000, "n-communities": 8,
     "d-customer": 66, "d-transaction": 12, "anomaly-rate": 0.02,
@@ -96,14 +106,14 @@ def cmd_gen_data(args) -> int:
     cfg = _effective(args, GEN_DEFAULTS)
     os.makedirs(args.out_dir, exist_ok=True)
     sc = datagen.SyntheticConfig(
-        n_customers=int(cfg["n-customers"]),
-        n_transactions=int(cfg["n-transactions"]),
-        n_communities=int(cfg["n-communities"]),
-        d_customer=int(cfg["d-customer"]),
-        d_transaction=int(cfg["d-transaction"]),
-        anomaly_rate=float(cfg["anomaly-rate"]),
-        external_rate=float(cfg["external-rate"]),
-        seed=int(cfg["seed"]))
+        n_customers=_num(cfg, "n-customers", int),
+        n_transactions=_num(cfg, "n-transactions", int),
+        n_communities=_num(cfg, "n-communities", int),
+        d_customer=_num(cfg, "d-customer", int),
+        d_transaction=_num(cfg, "d-transaction", int),
+        anomaly_rate=_num(cfg, "anomaly-rate", float),
+        external_rate=_num(cfg, "external-rate", float),
+        seed=_num(cfg, "seed", int))
     profiles, txns, labels = datagen.generate(sc)
     paths = {name: os.path.join(args.out_dir, name) for name in
              ("profiles.jsonl", "transactions.jsonl", "labels.jsonl")}
@@ -112,7 +122,7 @@ def cmd_gen_data(args) -> int:
     datagen.write_labels(paths["labels.jsonl"], labels)
     outputs = list(paths.values())
     if cfg["holdout-boundary"] is not None:
-        train, test = datagen.holdout_split(txns, float(cfg["holdout-boundary"]))
+        train, test = datagen.holdout_split(txns, _num(cfg, "holdout-boundary", float))
         for name, part in (("transactions_train.jsonl", train),
                            ("transactions_test.jsonl", test)):
             path = os.path.join(args.out_dir, name)
@@ -148,20 +158,20 @@ TRAIN_DEFAULTS = {
 
 def _training_config(cfg: dict) -> tr.TrainingConfig:
     return tr.TrainingConfig(
-        encoder=str(cfg["encoder"]), num_layers=int(cfg["layers"]),
-        hidden=int(cfg["hidden"]), heads=int(cfg["heads"]),
-        learning_rate=float(cfg["lr"]), batch_size=int(cfg["batch-size"]),
-        negatives=int(cfg["negatives"]), fanout=int(cfg["fanout"]),
-        max_epochs=int(cfg["epochs"]), patience=int(cfg["patience"]),
-        dropout=float(cfg["dropout"]), seed=int(cfg["seed"]))
+        encoder=str(cfg["encoder"]), num_layers=_num(cfg, "layers", int),
+        hidden=_num(cfg, "hidden", int), heads=_num(cfg, "heads", int),
+        learning_rate=_num(cfg, "lr", float), batch_size=_num(cfg, "batch-size", int),
+        negatives=_num(cfg, "negatives", int), fanout=_num(cfg, "fanout", int),
+        max_epochs=_num(cfg, "epochs", int), patience=_num(cfg, "patience", int),
+        dropout=_num(cfg, "dropout", float), seed=_num(cfg, "seed", int))
 
 
 def cmd_train(args) -> int:
     cfg = _effective(args, TRAIN_DEFAULTS)
     g = gr.load_graph(_require(args.graph))
     tc = _training_config(cfg)
-    ratios = (float(cfg["message-ratio"]), float(cfg["supervision-ratio"]),
-              float(cfg["validation-ratio"]))
+    ratios = (_num(cfg, "message-ratio", float), _num(cfg, "supervision-ratio", float),
+              _num(cfg, "validation-ratio", float))
     split = gr.split_edges(g, ratios, seed=tc.seed)
     params, history = tr.fit(g, split, tc)
     md.save_model(params, args.out)
@@ -189,7 +199,8 @@ def cmd_score(args) -> int:
     new_txns = gr.load_transactions(_require(args.transactions))
     tc = tr.TrainingConfig(num_layers=params.num_layers, hidden=params.hidden,
                            heads=max(params.heads, 1), encoder=params.kind,
-                           fanout=int(cfg["fanout"]), seed=int(cfg["seed"]))
+                           fanout=_num(cfg, "fanout", int),
+                           seed=_num(cfg, "seed", int))
     results = tr.score_transactions(params, g, new_txns, tc)
     tr.write_results(args.out, results)
     write_manifest(args.out + ".manifest.json", "score", cfg,

@@ -130,12 +130,6 @@ class BipartiteGraph:
         ends = self.edge_endpoints(direction)
         return np.flatnonzero(ends >= 0).astype(np.int64)
 
-    def out_neighbors(self, c: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[c]:self.out_indptr[c + 1]]
-
-    def in_neighbors(self, c: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[c]:self.in_indptr[c + 1]]
-
     def standardize_transaction_features(self, raw: np.ndarray) -> np.ndarray:
         return (raw - self.stats["t_mean"]) / self.stats["t_std"]
 
@@ -210,6 +204,8 @@ def build_graph(transactions: Sequence[RawTransaction],
             raise IngestError(f"transaction {t.txn_id!r} has non-finite features")
         raw_t[j] = f
         timestamps[j] = float(t.timestamp)
+        if not np.isfinite(timestamps[j]):
+            raise IngestError(f"transaction {t.txn_id!r} has a non-finite timestamp")
         if t.source_customer == EXTERNAL and t.dest_customer == EXTERNAL:
             raise IngestError(f"transaction {t.txn_id!r} has no known endpoint")
         for side, cid, arr in (("source", t.source_customer, o_src),
@@ -397,14 +393,6 @@ class Subgraph:
     layers: tuple
     self_c: tuple
     self_t: tuple
-
-    @property
-    def seed_customers(self) -> np.ndarray:
-        return self.levels_c[0]
-
-    @property
-    def seed_txns(self) -> np.ndarray:
-        return self.levels_t[0]
 
     def seed_positions_c(self, customers) -> np.ndarray:
         return np.searchsorted(self.levels_c[0], np.asarray(customers, dtype=np.int64))
@@ -712,7 +700,8 @@ def load_graph(path: str) -> BipartiteGraph:
 
 
 def _check_snapshot(path, n_c, n_t, x_c, x_t, o_src, i_dst, timestamps, stats):
-    """Array shapes agree with the id lists and endpoints are in range.
+    """Array shapes agree with the id lists, endpoints are in range, and
+    features, timestamps and statistics are finite with positive stds.
 
     Runs before the CSR build, so a corrupt endpoint can neither index out
     of bounds later nor size an allocation.
@@ -733,3 +722,10 @@ def _check_snapshot(path, n_c, n_t, x_c, x_t, o_src, i_dst, timestamps, stats):
                    ("t_mean", x_t.shape[1]), ("t_std", x_t.shape[1])):
         if stats[key].shape != (d,):
             raise bad(f"{key} has shape {stats[key].shape}, expected ({d},)")
+    for name, arr in (("x_c", x_c), ("x_t", x_t), ("timestamps", timestamps),
+                      *stats.items()):
+        if not np.all(np.isfinite(arr)):
+            raise bad(f"{name} holds a non-finite value")
+    for key in ("c_std", "t_std"):
+        if np.any(stats[key] <= 0):
+            raise bad(f"{key} holds a non-positive value")

@@ -16,8 +16,9 @@ returns the raw aggregation so embeddings are unconstrained reals.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
+from copy import deepcopy
 from typing import BinaryIO
 
 import numpy as np
@@ -83,18 +84,7 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams(self.kind, self.d_c, self.d_t, self.num_layers,
-                          self.hidden, self.heads)
-        for layer in self.layers:
-            dup.layers.append({k: Tensor(v.data.copy(), requires_grad=True)
-                               for k, v in layer.items()})
-        for site in self.bn:
-            dup.bn.append({tau: {"gamma": Tensor(site[tau]["gamma"].data.copy(), requires_grad=True),
-                                 "beta": Tensor(site[tau]["beta"].data.copy(), requires_grad=True),
-                                 "state": site[tau]["state"].copy()}
-                           for tau in ("c", "t")})
-        dup.w_dec = Tensor(self.w_dec.data.copy(), requires_grad=True)
-        return dup
+        return deepcopy(self)
 
 
 def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
@@ -106,6 +96,8 @@ def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
         raise ConfigError("num_layers and hidden must be positive")
     if kind != "gat":
         heads = 1
+    if heads < 1:
+        raise ConfigError("heads must be positive")
     if hidden % heads != 0:
         raise ConfigError(f"hidden ({hidden}) must be divisible by heads ({heads})")
     rng = np.random.default_rng(seed)
@@ -149,55 +141,37 @@ def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
     return params
 
 
+@functools.cache
 def _head_mats(heads: int, d_head: int) -> tuple[Tensor, Tensor]:
     """Constant 0/1 block matrices: reduce (K*d, K) sums each head's block,
-    expand (K, K*d) broadcasts one value per head across its block."""
+    expand (K, K*d) broadcasts one value per head across its block. Every
+    caller shares the cached tensors; they take no gradient and are never
+    written."""
     reduce = np.kron(np.eye(heads), np.ones((d_head, 1)))
     return Tensor(reduce), Tensor(reduce.T)
 
 
-@dataclass
-class AttentionResult:
-    """Attention coefficients for one relation at one layer.
-
-    edge_alpha[e, k]: coefficient of edge e under head k; self_alpha[i, k]:
-    the destination self coefficient; edge_dst: output-local destination
-    of each edge. Within a destination's segment (its edges plus its self
-    entry) each head's coefficients sum to one.
-    """
-    edge_alpha: np.ndarray
-    self_alpha: np.ndarray
-    edge_dst: np.ndarray
-
-
-def _gat_scores(p, rel, h_src, h_self, reduce):
-    s_src = matmul(hadamard(h_src, p[f"a_src_{rel}"]), reduce)
-    s_dst = matmul(hadamard(h_self, p[f"a_dst_{rel}"]), reduce)
-    s_self_src = matmul(hadamard(h_self, p[f"a_src_{rel}"]), reduce)
-    return s_src, s_dst, s_self_src
-
-
-def _gat_alpha(p, rel, edges, self_idx, n_out, h_src, h_self, reduce):
-    """Per-relation softmax over each destination's edges plus self term."""
-    src, dst, _ = edges[rel]
-    s_src, s_dst, s_self_src = _gat_scores(p, rel, h_src, h_self, reduce)
-    edge_logits = leaky_relu(add(gather_rows(s_dst, self_idx[dst]),
-                                 gather_rows(s_src, src)))
-    self_logits = leaky_relu(add(gather_rows(s_dst, self_idx),
-                                 gather_rows(s_self_src, self_idx)))
-    logits = concat([edge_logits, self_logits], axis=0)
-    segments = np.concatenate([dst, np.arange(n_out, dtype=np.int64)])
-    return segment_softmax(logits, segments, n_out), segments, src, dst
-
-
-def _gat_dest(p, dest: str, edges, self_idx, z_src, z_self, n_out,
-              reduce, expand):
+def _gat_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
+              attention):
+    """Attention-weighted aggregation over both relations into `dest`;
+    stores each relation's coefficients in `attention` (see `encode`)."""
+    reduce, expand = _head_mats(params.heads, params.d_head)
     h_self = matmul(z_self, p[f"w_self_{dest}"])
     agg = None
     for rel in DEST_RELATIONS[dest]:
+        src, dst, _ = edges[rel]
         h_src = matmul(z_src, p[f"w_{rel}"])
-        alpha, segments, src, _ = _gat_alpha(p, rel, edges, self_idx, n_out,
-                                             h_src, h_self, reduce)
+        s_src = matmul(hadamard(h_src, p[f"a_src_{rel}"]), reduce)
+        s_dst = matmul(hadamard(h_self, p[f"a_dst_{rel}"]), reduce)
+        s_self_src = matmul(hadamard(h_self, p[f"a_src_{rel}"]), reduce)
+        edge_logits = leaky_relu(add(gather_rows(s_dst, self_idx[dst]),
+                                     gather_rows(s_src, src)))
+        self_logits = leaky_relu(add(gather_rows(s_dst, self_idx),
+                                     gather_rows(s_self_src, self_idx)))
+        logits = concat([edge_logits, self_logits], axis=0)
+        segments = np.concatenate([dst, np.arange(n_out, dtype=np.int64)])
+        alpha = segment_softmax(logits, segments, n_out)
+        attention[rel] = (alpha.data[:len(dst)], alpha.data[len(dst):], dst)
         weights = matmul(alpha, expand)
         values = concat([gather_rows(h_src, src),
                          gather_rows(h_self, self_idx)], axis=0)
@@ -206,7 +180,8 @@ def _gat_dest(p, dest: str, edges, self_idx, z_src, z_self, n_out,
     return agg
 
 
-def _sage_dest(p, dest: str, edges, self_idx, z_src, z_self, n_out):
+def _sage_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
+               attention):
     out = gather_rows(matmul(z_self, p[f"w_self_{dest}"]), self_idx)
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
@@ -217,7 +192,8 @@ def _sage_dest(p, dest: str, edges, self_idx, z_src, z_self, n_out):
     return out
 
 
-def _gin_dest(p, dest: str, edges, self_idx, z_src, z_self, n_out):
+def _gin_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
+              attention):
     pre = gather_rows(matmul(z_self, p[f"w_proj_self_{dest}"]), self_idx)
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
@@ -239,8 +215,11 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
     Inputs to the first layer are the (standardized) raw features of the
     deepest required level; outputs are final-layer embeddings for the
     level-0 nodes of each type, rows following the sorted seed arrays.
-    `capture`, when a list, receives one (c_ids, z_c, t_ids, z_t) numpy
-    snapshot per layer.
+    `capture`, when a list, receives one (c_ids, z_c, t_ids, z_t,
+    attention) numpy snapshot per layer. attention is empty for sage and
+    gin; for gat attention[relation] = (edge_alpha, self_alpha, edge_dst):
+    edge e's and output node i's self coefficients under head k are
+    edge_alpha[e, k] and self_alpha[i, k], and edge_dst[e] is e's output node.
     """
     L = params.num_layers
     if sub.depth < L:
@@ -250,8 +229,6 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
     start = L  # features enter at level L, outputs land at level 0
     z_c = Tensor(x_c[sub.levels_c[start]])
     z_t = Tensor(x_t[sub.levels_t[start]])
-    reduce, expand = (_head_mats(params.heads, params.d_head)
-                      if params.kind == "gat" else (None, None))
     dest_fn = _DEST_FN[params.kind]
     for i in range(L):
         j = sub.depth - L + i
@@ -260,9 +237,11 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
         n_c_out = len(sub.levels_c[out_level])
         n_t_out = len(sub.levels_t[out_level])
         p = params.layers[i]
-        extra = {"reduce": reduce, "expand": expand} if params.kind == "gat" else {}
-        new_c = dest_fn(p, "c", edges, sub.self_c[j], z_t, z_c, n_c_out, **extra)
-        new_t = dest_fn(p, "t", edges, sub.self_t[j], z_c, z_t, n_t_out, **extra)
+        attention: dict = {}
+        new_c = dest_fn(params, p, "c", edges, sub.self_c[j], z_t, z_c, n_c_out,
+                        attention)
+        new_t = dest_fn(params, p, "t", edges, sub.self_t[j], z_c, z_t, n_t_out,
+                        attention)
         if i < L - 1:
             site = params.bn[i]
             new_c = relu(new_c)
@@ -277,40 +256,8 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
         z_c, z_t = new_c, new_t
         if capture is not None:
             capture.append((sub.levels_c[out_level], z_c.data.copy(),
-                            sub.levels_t[out_level], z_t.data.copy()))
+                            sub.levels_t[out_level], z_t.data.copy(), attention))
     return z_c, z_t
-
-
-def gat_attention(params: ModelParams, sub: Subgraph, z, relation: str,
-                  head: int | None = None, layer_index: int = 0) -> AttentionResult:
-    """Expose one relation's attention coefficients for inspection.
-
-    `z` is a (z_c, z_t) pair aligned to the input level of the given
-    layer (raw features for layer 0). `head` selects one column,
-    otherwise all heads are returned.
-    """
-    if params.kind != "gat":
-        raise ConfigError("attention coefficients exist only for the gat encoder")
-    if relation not in RELATIONS:
-        raise ConfigError(f"unknown relation {relation!r}")
-    z_c, z_t = z
-    dest = "c" if relation in DEST_RELATIONS["c"] else "t"
-    z_src, z_self = (z_t, z_c) if dest == "c" else (z_c, z_t)
-    j = sub.depth - params.num_layers + layer_index
-    self_idx = sub.self_c[j] if dest == "c" else sub.self_t[j]
-    out_level = sub.depth - 1 - j
-    n_out = len(sub.levels_c[out_level] if dest == "c" else sub.levels_t[out_level])
-    p = params.layers[layer_index]
-    reduce, _ = _head_mats(params.heads, params.d_head)
-    h_src = matmul(z_src, p[f"w_{relation}"])
-    h_self = matmul(z_self, p[f"w_self_{dest}"])
-    alpha, _, _, dst = _gat_alpha(p, relation, sub.layers[j], self_idx, n_out,
-                                  h_src, h_self, reduce)
-    n_edges = len(dst)
-    edge_alpha, self_alpha = alpha.data[:n_edges], alpha.data[n_edges:]
-    if head is not None:
-        edge_alpha, self_alpha = edge_alpha[:, [head]], self_alpha[:, [head]]
-    return AttentionResult(edge_alpha, self_alpha, dst)
 
 
 def decode(w_dec: Tensor, z_c: Tensor, z_t: Tensor) -> Tensor:
@@ -357,14 +304,13 @@ def save_model(params: ModelParams, path: str) -> None:
                 write_array(fh, site[tau]["state"].running_var)
 
 
-def _check_header(path: str, kind: str, num_layers: int, hidden: int,
-                  heads: int) -> None:
-    """A checkpoint header `init_params` accepts; a bad one is corrupt data."""
-    if kind not in KINDS:
-        raise IngestError(f"{path}: corrupt checkpoint: unknown encoder kind {kind!r}")
-    if num_layers < 1 or hidden < 1 or heads < 1 or hidden % heads:
-        raise IngestError(f"{path}: corrupt checkpoint: num_layers={num_layers}, "
-                          f"hidden={hidden}, heads={heads}")
+def _read_param(fh: BinaryIO, path: str, name: str, shape) -> np.ndarray:
+    arr = read_array(fh)
+    if arr.shape != shape:
+        raise IngestError(f"{path}: shape mismatch for {name}")
+    if not np.all(np.isfinite(arr)):
+        raise IngestError(f"{path}: corrupt checkpoint: {name} is not finite")
+    return arr
 
 
 def load_model(path: str) -> ModelParams:
@@ -377,17 +323,21 @@ def load_model(path: str) -> ModelParams:
                 raise IngestError(f"{path}: unsupported checkpoint version {version}")
             kind = _read_str(fh)
             d_c, d_t, num_layers, hidden, heads = struct.unpack("<5I", fh.read(20))
-            _check_header(path, kind, num_layers, hidden, heads)
-            params = init_params(kind, d_c, d_t, num_layers, hidden, heads, seed=0)
+            try:  # a header init_params refuses is corrupt data here
+                params = init_params(kind, d_c, d_t, num_layers, hidden, heads)
+            except ConfigError as e:
+                raise IngestError(f"{path}: corrupt checkpoint: {e}") from e
             for name, tensor in params.named_parameters():
-                arr = read_array(fh)
-                if arr.shape != tensor.shape:
-                    raise IngestError(f"{path}: shape mismatch for {name}")
-                tensor.data = arr
-            for site in params.bn:
+                tensor.data = _read_param(fh, path, name, tensor.shape)
+            for i, site in enumerate(params.bn):
                 for tau in ("c", "t"):
-                    site[tau]["state"].running_mean = read_array(fh)
-                    site[tau]["state"].running_var = read_array(fh)
+                    state, name = site[tau]["state"], f"bn{i}.{tau}"
+                    for stat in ("running_mean", "running_var"):
+                        setattr(state, stat, _read_param(
+                            fh, path, f"{name}.{stat}", getattr(state, stat).shape))
+                    if np.any(state.running_var < 0):
+                        raise IngestError(f"{path}: corrupt checkpoint: "
+                                          f"{name}.running_var is negative")
         except (struct.error, ValueError) as e:
             raise IngestError(f"{path}: truncated or corrupt checkpoint: {e}") from e
     return params

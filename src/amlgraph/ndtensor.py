@@ -374,12 +374,6 @@ class BatchNormState:
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
 
-    def copy(self) -> "BatchNormState":
-        dup = BatchNormState(self.running_mean.shape[0])
-        dup.running_mean = self.running_mean.copy()
-        dup.running_var = self.running_var.copy()
-        return dup
-
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool) -> Tensor:

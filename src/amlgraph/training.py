@@ -166,22 +166,16 @@ def message_graph(g: BipartiteGraph, split: EdgeSplit) -> BipartiteGraph:
         g.timestamps, g.stats)
 
 
-def _severed_masks(n_txns: int, direction: str, txns: np.ndarray):
-    removed = np.zeros(n_txns, dtype=bool)
-    removed[txns] = True
-    if direction == OUTGOING:
-        return removed, None
-    return None, removed
-
-
 def _forward_pairs(params: ModelParams, msg_g: BipartiteGraph, direction: str,
                    pos_c, pos_t, neg_c, neg_t, fanout: int, sample_rng,
                    training: bool, dropout_p: float, dropout_rng=None):
     """Sever, sample, encode, decode one batch of positives and negatives."""
     all_c = np.concatenate([pos_c, neg_c])
     all_t = np.concatenate([pos_t, neg_t])
-    removed_out, removed_in = _severed_masks(msg_g.n_transactions, direction,
-                                             np.unique(all_t))
+    removed = np.zeros(msg_g.n_transactions, dtype=bool)
+    removed[all_t] = True
+    removed_out, removed_in = ((removed, None) if direction == OUTGOING
+                               else (None, removed))
     sub = sample_neighborhood(msg_g, np.stack([all_c, all_t], axis=1),
                               fanout, params.num_layers, sample_rng,
                               removed_out=removed_out, removed_in=removed_in)
@@ -340,23 +334,17 @@ def predict_pairs(params: ModelParams, msg_g: BipartiteGraph,
     """Link likelihood for (direction, customer, txn) rows, batch-severed."""
     out = np.zeros(len(rows))
     order = np.arange(len(rows))
+    no_negatives = np.empty(0, dtype=np.int64)
     for d in DIRECTIONS:
         sel = order[[r[0] == d for r in rows]]
         for lo in range(0, sel.size, chunk):
             part = sel[lo:lo + chunk]
             cs = np.array([rows[i][1] for i in part], dtype=np.int64)
             ts = np.array([rows[i][2] for i in part], dtype=np.int64)
-            removed_out, removed_in = _severed_masks(
-                msg_g.n_transactions, d, np.unique(ts))
             rng = as_rng(np.random.SeedSequence([config.seed, 5, lo]))
-            sub = sample_neighborhood(msg_g, np.stack([cs, ts], axis=1),
-                                      config.fanout, params.num_layers, rng,
-                                      removed_out=removed_out,
-                                      removed_in=removed_in)
-            z_c, z_t = encode(params, sub, msg_g.x_c, msg_g.x_t)
-            y = decode(params.w_dec,
-                       gather_rows(z_c, sub.seed_positions_c(cs)),
-                       gather_rows(z_t, sub.seed_positions_t(ts)))
+            y, _, _ = _forward_pairs(params, msg_g, d, cs, ts, no_negatives,
+                                     no_negatives, config.fanout, rng,
+                                     training=False, dropout_p=0.0)
             out[part] = y.data[:, 0]
     return out
 
@@ -469,10 +457,23 @@ def write_results(path: str, results: list[AnomalyResult]) -> None:
             }) + "\n")
 
 
+def _parse_result(obj: dict) -> AnomalyResult:
+    r = AnomalyResult(obj["txn_id"], obj["direction"], obj["customer_id"],
+                      obj["y_hat"], obj["anomaly_score"], obj["cold_start"])
+    for score in (r.y_hat, r.anomaly_score):
+        if score is not None and (type(score) not in (int, float)
+                                  or not np.isfinite(score)):
+            raise ValueError(f"score {score!r} is not a finite number or null")
+    if r.direction not in DIRECTIONS or type(r.cold_start) is not bool:
+        raise ValueError(f"direction {r.direction!r} or cold_start "
+                         f"{r.cold_start!r} is invalid")
+    return r
+
+
 def read_results(path: str) -> list[AnomalyResult]:
-    return read_records(path, lambda obj: AnomalyResult(
-        obj["txn_id"], obj["direction"], obj["customer_id"], obj["y_hat"],
-        obj["anomaly_score"], obj["cold_start"]))
+    """Records as `write_results` writes them; a field of the wrong type
+    raises IngestError naming the file and line."""
+    return read_records(path, _parse_result)
 
 
 def write_metrics_log(path: str, history: list[dict]) -> None:

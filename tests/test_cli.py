@@ -8,6 +8,7 @@ import pytest
 
 import amlgraph.datagen as dg
 import amlgraph.graph as gr
+import amlgraph.model as md
 from amlgraph.cli import main
 
 
@@ -231,6 +232,28 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    def test_mistyped_train_config_is_1(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layers": "two"}))
+        out = tmp_path / "m.bin"
+        assert run("train", "--graph", pipeline["graph"], "--out", str(out),
+                   "--config", str(cfg)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'layers'" in err
+
+    def test_mistyped_score_config_is_1(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}))
+        out = tmp_path / "scores.jsonl"
+        assert run("score", "--graph", pipeline["graph"], "--model",
+                   pipeline["model"], "--transactions",
+                   os.path.join(pipeline["data"], "transactions_test.jsonl"),
+                   "--out", str(out), "--config", str(cfg)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'seed'" in err
+
     def test_config_error_is_1(self, tmp_path):
         assert run("gen-data", "--out-dir", str(tmp_path / "d"),
                    "--n-customers", "1") == 1
@@ -318,6 +341,50 @@ class TestMalformedInput:
                                                   "transactions_test.jsonl"),
                    "--out", str(out), "--fanout", "8")
         assert code == 2
+        assert not out.exists()
+
+    def test_non_finite_model_is_2(self, pipeline, tmp_path):
+        params = md.load_model(pipeline["model"])
+        params.w_dec.data[0, 0] = np.nan
+        model = str(tmp_path / "model.bin")
+        md.save_model(params, model)
+        out = tmp_path / "scores.jsonl"
+        assert run("score", "--graph", pipeline["graph"], "--model", model,
+                   "--transactions", os.path.join(pipeline["data"],
+                                                  "transactions_test.jsonl"),
+                   "--out", str(out), "--fanout", "8") == 2
+        assert not out.exists()
+        out = tmp_path / "emb.tsv"
+        assert run("embed", "--graph", pipeline["graph"], "--model", model,
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_non_finite_graph_is_2(self, pipeline, tmp_path):
+        g = gr.load_graph(pipeline["graph"])
+        x_c = g.x_c.copy()
+        x_c[0, 0] = np.nan
+        bad = types.SimpleNamespace(**{name: getattr(g, name) for name in (
+            "customer_ids", "txn_ids", "x_t", "o_src", "i_dst", "timestamps",
+            "stats")}, x_c=x_c)
+        path = str(tmp_path / "graph.bin")
+        gr.save_graph(bad, path)
+        code, out = self._score(pipeline, tmp_path, graph=path)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("anomaly_score", "high"), ("y_hat", float("nan")), ("y_hat", True),
+        ("cold_start", "no"), ("direction", "sideways")])
+    def test_scores_bad_field_is_2(self, pipeline, tmp_path, field, value):
+        records = [json.loads(line) for line in open(pipeline["scores"])]
+        victim = next(r for r in records if not r["cold_start"])
+        victim[field] = value
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "report.json"
+        assert run("evaluate", "--scores", str(scores), "--labels",
+                   os.path.join(pipeline["data"], "labels.jsonl"),
+                   "--out", str(out)) == 2
         assert not out.exists()
 
     def test_scores_missing_field_is_2(self, pipeline, tmp_path):

@@ -111,10 +111,12 @@ class TestBuild:
     def test_adjacency_matches_endpoints(self):
         g = toy_graph()
         for c in range(g.n_customers):
-            np.testing.assert_array_equal(g.out_neighbors(c),
-                                          np.flatnonzero(g.o_src == c))
-            np.testing.assert_array_equal(g.in_neighbors(c),
-                                          np.flatnonzero(g.i_dst == c))
+            np.testing.assert_array_equal(
+                g.out_indices[g.out_indptr[c]:g.out_indptr[c + 1]],
+                np.flatnonzero(g.o_src == c))
+            np.testing.assert_array_equal(
+                g.in_indices[g.in_indptr[c]:g.in_indptr[c + 1]],
+                np.flatnonzero(g.i_dst == c))
 
     def test_record_order_irrelevant(self):
         rng = np.random.default_rng(6)
@@ -145,6 +147,13 @@ class TestBuild:
     def test_missing_profile_rejected(self):
         with pytest.raises(IngestError):
             gr.build_graph([gr.RawTransaction("t", "A", "B", 0.0, np.array([1.0]))],
+                           [gr.CustomerProfile("A", np.array([0.0]))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_timestamp_rejected(self, bad):
+        # save_graph would write it and load_graph refuse it
+        with pytest.raises(IngestError, match="timestamp"):
+            gr.build_graph([gr.RawTransaction("t", "A", "EXTERNAL", bad, np.array([1.0]))],
                            [gr.CustomerProfile("A", np.array([0.0]))])
 
     def test_fully_external_rejected(self):
@@ -315,8 +324,8 @@ class TestNeighborhood:
         txns, profiles = random_records(rng)
         g = gr.build_graph(txns, profiles)
         sub = gr.sample_neighborhood(g, [(0, 0), (2, 5)], fanout=4, num_layers=3, seed=5)
-        np.testing.assert_array_equal(sub.seed_customers, [0, 2])
-        np.testing.assert_array_equal(sub.seed_txns, [0, 5])
+        np.testing.assert_array_equal(sub.levels_c[0], [0, 2])
+        np.testing.assert_array_equal(sub.levels_t[0], [0, 5])
         for h in range(sub.depth):
             assert set(map(int, sub.levels_c[h])) <= set(map(int, sub.levels_c[h + 1]))
             assert set(map(int, sub.levels_t[h])) <= set(map(int, sub.levels_t[h + 1]))
@@ -535,6 +544,13 @@ class TestExtend:
         assert g.n_transactions == 40
 
 
+def _first(arr, value):
+    """A copy of `arr` whose first entry is `value`."""
+    out = np.array(arr, dtype=np.float64)
+    out.flat[0] = value
+    return out
+
+
 def _corrupt(g, field, value):
     """A stand-in graph for `save_graph` with one array (or stat) replaced."""
     attrs = {name: getattr(g, name) for name in (
@@ -556,6 +572,13 @@ INCONSISTENT_SNAPSHOTS = {
     "endpoint_below": ("o_src", lambda g: np.where(g.o_src < 0, -2, g.o_src)),
     "c_std_short": ("c_std", lambda g: g.stats["c_std"][:-1]),
     "t_mean_long": ("t_mean", lambda g: np.append(g.stats["t_mean"], 0.0)),
+    "x_c_nan": ("x_c", lambda g: _first(g.x_c, np.nan)),
+    "x_t_inf": ("x_t", lambda g: _first(g.x_t, np.inf)),
+    "timestamps_nan": ("timestamps", lambda g: _first(g.timestamps, np.nan)),
+    "t_mean_nan": ("t_mean", lambda g: _first(g.stats["t_mean"], np.nan)),
+    "c_std_inf": ("c_std", lambda g: _first(g.stats["c_std"], np.inf)),
+    "c_std_zero": ("c_std", lambda g: _first(g.stats["c_std"], 0.0)),
+    "t_std_negative": ("t_std", lambda g: _first(g.stats["t_std"], -1.0)),
 }
 
 

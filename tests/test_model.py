@@ -35,6 +35,13 @@ def full_sub(g, depth, seeds_c=None, seeds_t=None):
                                         num_layers=depth, seed=0)
 
 
+def captured_attention(params, sub, g, layer=0):
+    """The per-relation attention `encode` records for one layer."""
+    capture = []
+    md.encode(params, sub, g.x_c, g.x_t, capture=capture)
+    return capture[layer][4]
+
+
 def warm_bn(params, sub, g, seed=5):
     """Populate running stats so inference-mode batch norm is non-trivial."""
     rng = np.random.default_rng(seed)
@@ -109,12 +116,11 @@ class TestAttention:
             seeds_c = rng.choice(g.n_customers, size=3, replace=False)
             sub = gr.sample_neighborhood_nodes(g, seeds_c, [], fanout=3,
                                                num_layers=1, seed=trial)
-            z = (nd.Tensor(g.x_c[sub.levels_c[1]]), nd.Tensor(g.x_t[sub.levels_t[1]]))
+            attention = captured_attention(params, sub, g)
             for rel in (gr.OUT_REV, gr.IN_FWD):
-                res = md.gat_attention(params, sub, z, rel)
-                n_out = len(sub.levels_c[0])
-                sums = res.self_alpha.copy()
-                np.add.at(sums, res.edge_dst, res.edge_alpha)
+                edge_alpha, self_alpha, edge_dst = attention[rel]
+                sums = self_alpha.copy()
+                np.add.at(sums, edge_dst, edge_alpha)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_one_neighbor_plus_self(self):
@@ -123,10 +129,9 @@ class TestAttention:
             [gr.CustomerProfile("A", np.array([0.5, -1.0, 2.0]))])
         params = md.init_params("gat", 3, 2, 1, 8, 2, seed=2)
         sub = full_sub(g, 1)
-        z = (nd.Tensor(g.x_c[sub.levels_c[1]]), nd.Tensor(g.x_t[sub.levels_t[1]]))
-        res = md.gat_attention(params, sub, z, gr.OUT_REV)
-        assert res.edge_alpha.shape == (1, 2)
-        np.testing.assert_allclose(res.edge_alpha + res.self_alpha, 1.0, atol=1e-12)
+        edge_alpha, self_alpha, _ = captured_attention(params, sub, g)[gr.OUT_REV]
+        assert edge_alpha.shape == (1, 2)
+        np.testing.assert_allclose(edge_alpha + self_alpha, 1.0, atol=1e-12)
 
     def test_identical_neighbors_equal_coefficients(self):
         feats = np.array([3.0, -1.0])
@@ -135,9 +140,8 @@ class TestAttention:
         g = gr.build_graph(txns, [gr.CustomerProfile("A", np.array([1.0, 2.0, 3.0]))])
         params = md.init_params("gat", 3, 2, 1, 8, 2, seed=3)
         sub = full_sub(g, 1)
-        z = (nd.Tensor(g.x_c[sub.levels_c[1]]), nd.Tensor(g.x_t[sub.levels_t[1]]))
-        res = md.gat_attention(params, sub, z, gr.OUT_REV)
-        spread = res.edge_alpha.max(axis=0) - res.edge_alpha.min(axis=0)
+        edge_alpha, _, _ = captured_attention(params, sub, g)[gr.OUT_REV]
+        spread = edge_alpha.max(axis=0) - edge_alpha.min(axis=0)
         np.testing.assert_allclose(spread, 0.0, atol=1e-12)
 
     def test_three_neighbor_direct_formula(self):
@@ -148,7 +152,7 @@ class TestAttention:
         params = md.init_params("gat", 3, 2, 1, 8, 2, seed=4)
         sub = full_sub(g, 1)
         z_c, z_t = g.x_c[sub.levels_c[1]], g.x_t[sub.levels_t[1]]
-        res = md.gat_attention(params, sub, (nd.Tensor(z_c), nd.Tensor(z_t)), gr.OUT_REV)
+        edge_alpha, self_alpha, _ = captured_attention(params, sub, g)[gr.OUT_REV]
 
         p = params.layers[0]
         heads, dh = 2, 4
@@ -169,13 +173,51 @@ class TestAttention:
             alpha = ex / ex.sum()
             # rows of edge_alpha follow the localized edge order (src_local asc)
             order = np.argsort(sub.layers[0][gr.OUT_REV][0])
-            np.testing.assert_allclose(res.edge_alpha[order, k], alpha[:3], atol=1e-12)
-            np.testing.assert_allclose(res.self_alpha[0, k], alpha[3], atol=1e-12)
+            np.testing.assert_allclose(edge_alpha[order, k], alpha[:3], atol=1e-12)
+            np.testing.assert_allclose(self_alpha[0, k], alpha[3], atol=1e-12)
 
     def test_non_gat_rejected(self):
-        params = md.init_params("sage", 3, 2, 1, 8)
-        with pytest.raises(ConfigError):
-            md.gat_attention(params, None, None, gr.OUT_REV)
+        """sage and gin compute no attention, so every layer records none."""
+        g = make_graph(seed=12)
+        sub = full_sub(g, 2)
+        for kind in ("sage", "gin"):
+            params = md.init_params(kind, g.d_customer, g.d_transaction, 2, 8)
+            capture = []
+            md.encode(params, sub, g.x_c, g.x_t, capture=capture)
+            assert [rec[4] for rec in capture] == [{}, {}]
+
+    def test_every_relation_every_layer(self):
+        g = make_graph(seed=14, n_c=8, n_t=40)
+        params = md.init_params("gat", g.d_customer, g.d_transaction, 3, 8, 2, seed=6)
+        sub = gr.sample_neighborhood_nodes(g, [0, 3], [5], fanout=3,
+                                           num_layers=3, seed=2)
+        capture = []
+        md.encode(params, sub, g.x_c, g.x_t, capture=capture)
+        for i, (c_ids, _, t_ids, _, attention) in enumerate(capture):
+            assert set(attention) == set(gr.RELATIONS)
+            for rel, (edge_alpha, self_alpha, edge_dst) in attention.items():
+                n_out = len(c_ids if rel in md.DEST_RELATIONS["c"] else t_ids)
+                assert self_alpha.shape == (n_out, 2)
+                assert edge_alpha.shape == (len(edge_dst), 2)
+                np.testing.assert_array_equal(edge_dst, sub.layers[i][rel][1])
+                sums = self_alpha.copy()
+                np.add.at(sums, edge_dst, edge_alpha)
+                np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+    def test_capture_changes_nothing(self):
+        g = make_graph(seed=15, n_c=8, n_t=40)
+        sub = full_sub(g, 2)
+        for kind, heads in (("gat", 2), ("sage", 1), ("gin", 1)):
+            params = md.init_params(kind, g.d_customer, g.d_transaction, 2, 8,
+                                    heads, seed=7)
+            warm_bn(params, sub, g)
+            plain = md.encode(params, sub, g.x_c, g.x_t)
+            capture = []
+            captured = md.encode(params, sub, g.x_c, g.x_t, capture=capture)
+            snapshots = (capture[-1][1], capture[-1][3])
+            for a, b, snap in zip(plain, captured, snapshots):
+                assert a.data.tobytes() == b.data.tobytes()
+                assert a.data.tobytes() == snap.tobytes()
 
 
 class TestLayerSemantics:
@@ -224,10 +266,10 @@ class TestLayerSemantics:
         p = params.layers[0]
         for c in range(g.n_customers):
             expect = g.x_c[c] @ p["w_self_c"].data
-            outs = g.out_neighbors(c)
+            outs = np.flatnonzero(g.o_src == c)
             if len(outs):
                 expect = expect + g.x_t[outs].mean(axis=0) @ p["w_nbr_out_rev"].data
-            ins = g.in_neighbors(c)
+            ins = np.flatnonzero(g.i_dst == c)
             if len(ins):
                 expect = expect + g.x_t[ins].mean(axis=0) @ p["w_nbr_in_fwd"].data
             np.testing.assert_allclose(zc.data[c], expect, atol=1e-10)
@@ -247,9 +289,9 @@ class TestLayerSemantics:
         p = params.layers[0]
         for c in range(g.n_customers):
             pre = g.x_c[c] @ p["w_proj_self_c"].data
-            for t in g.out_neighbors(c):
+            for t in np.flatnonzero(g.o_src == c):
                 pre = pre + g.x_t[t] @ p["w_proj_out_rev"].data
-            for t in g.in_neighbors(c):
+            for t in np.flatnonzero(g.i_dst == c):
                 pre = pre + g.x_t[t] @ p["w_proj_in_fwd"].data
             h = np.maximum(pre @ p["mlp_w1_c"].data + p["mlp_b1_c"].data[0], 0)
             expect = h @ p["mlp_w2_c"].data + p["mlp_b2_c"].data[0]
@@ -398,3 +440,19 @@ class TestCheckpoint:
             path.write_bytes(blob[:n])
             with pytest.raises(IngestError):
                 md.load_model(str(path))
+
+    @pytest.mark.parametrize("site,value", [
+        ("decoder.w", np.nan), ("layer0.w_self_c", np.inf),
+        ("bn0.c.running_mean", np.nan), ("bn0.t.running_var", -1.0)])
+    def test_non_finite_rejected(self, tmp_path, site, value):
+        params = md.init_params("gat", 3, 2, 2, 4, 2, seed=17)
+        named = dict(params.named_parameters())
+        if site in named:
+            named[site].data[0, 0] = value
+        else:
+            layer, tau, stat = site.split(".")
+            getattr(params.bn[int(layer[2:])][tau]["state"], stat)[0] = value
+        path = str(tmp_path / "model.bin")
+        md.save_model(params, path)
+        with pytest.raises(IngestError, match=site):
+            md.load_model(path)
