@@ -86,13 +86,18 @@ def _effective(args, names: dict) -> dict:
 
 
 def _num(cfg: dict, key: str, cast):
-    """cfg[key] converted by `cast` (int or float); a value of the wrong
-    type is a config error naming the key."""
-    try:
-        return cast(cfg[key])
-    except (TypeError, ValueError) as e:
+    """cfg[key] as `cast` (int or float). An int key takes only an int, a
+    float key an int or a float; anything else, bools and numeric strings
+    included, is a config error naming the key."""
+    value = cfg[key]
+    kinds = (int,) if cast is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"config key {key!r}: expected {cast.__name__}, "
-                          f"got {cfg[key]!r}") from e
+                          f"got {value!r}")
+    try:
+        return cast(value)
+    except OverflowError as e:
+        raise ConfigError(f"config key {key!r}: {value!r} is out of range") from e
 
 
 GEN_DEFAULTS = {

@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, IngestError, SamplingError
-from .ndtensor import read_array, write_array
+from .ndtensor import bytes_left, read_array, write_array
 
 EXTERNAL = "EXTERNAL"
 
@@ -583,15 +583,16 @@ def read_records(path: str, parse) -> list:
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except KeyError as e:
-                raise IngestError(f"{path}:{n}: missing field {e}") from e
-            except (TypeError, ValueError) as e:
-                raise IngestError(f"{path}:{n}: bad record: {e}") from e
+        try:
+            for n, line in enumerate(fh, 1):
+                if line.strip():
+                    out.append(parse(json.loads(line)))
+        except UnicodeDecodeError as e:
+            raise IngestError(f"{path}: not UTF-8 text: {e}") from e
+        except KeyError as e:
+            raise IngestError(f"{path}:{n}: missing field {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise IngestError(f"{path}:{n}: bad record: {e}") from e
     return out
 
 
@@ -641,9 +642,12 @@ def _write_strings(fh: BinaryIO, items: Sequence[str]) -> None:
 
 def _read_strings(fh: BinaryIO) -> list[str]:
     (n,) = struct.unpack("<I", fh.read(4))
+    left = bytes_left(fh)   # once: seeking to the end drops the read buffer
     out = []
     for _ in range(n):
         (ln,) = struct.unpack("<I", fh.read(4))
+        if ln > left:
+            raise ValueError(f"string of {ln} bytes runs past the end of the file")
         out.append(fh.read(ln).decode("utf-8"))
     return out
 
@@ -656,6 +660,8 @@ def _write_ints(fh: BinaryIO, arr: np.ndarray) -> None:
 
 def _read_ints(fh: BinaryIO) -> np.ndarray:
     (n,) = struct.unpack("<Q", fh.read(8))
+    if 8 * n > bytes_left(fh):
+        raise ValueError(f"{n} integers run past the end of the file")
     return np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.int64)
 
 

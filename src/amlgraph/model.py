@@ -16,20 +16,18 @@ returns the raw aggregation so embeddings are unconstrained reals.
 
 from __future__ import annotations
 
-import functools
 import struct
 from copy import deepcopy
 from typing import BinaryIO
 
 import numpy as np
 
-from . import ndtensor as nd
 from .errors import ConfigError, DimensionError, IngestError
 from .graph import IN_FWD, IN_REV, OUT_FWD, OUT_REV, RELATIONS, Subgraph
-from .ndtensor import (BatchNormState, Tensor, add, batch_norm, concat,
-                       dropout, gather_rows, hadamard, leaky_relu, matmul,
-                       read_array, relu, segment_softmax, segment_sum,
-                       sigmoid, write_array)
+from .ndtensor import (BatchNormState, Tensor, add, batch_norm, bytes_left,
+                       concat, dropout, gather_rows, hadamard, head_dot,
+                       head_scale, leaky_relu, matmul, read_array, relu,
+                       segment_softmax, segment_sum, sigmoid, write_array)
 
 KINDS = ("gat", "sage", "gin")
 
@@ -65,10 +63,6 @@ class ModelParams:
         self.bn: list[dict] = []
         self.w_dec: Tensor | None = None
 
-    @property
-    def d_head(self) -> int:
-        return self.hidden // self.heads
-
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
@@ -87,6 +81,34 @@ class ModelParams:
         return deepcopy(self)
 
 
+def _layer_spec(kind: str, dc_in: int, dt_in: int,
+                hidden: int) -> list[tuple[str, tuple[int, int]]]:
+    """(name, shape) of one layer's parameters, in initialization order."""
+    src_dim = {OUT_FWD: dc_in, IN_REV: dc_in, OUT_REV: dt_in, IN_FWD: dt_in}
+    rel_prefix = {"gat": "w_", "sage": "w_nbr_", "gin": "w_proj_"}[kind]
+    self_prefix = "w_proj_self_" if kind == "gin" else "w_self_"
+    spec = [(f"{rel_prefix}{rel}", (src_dim[rel], hidden)) for rel in RELATIONS]
+    spec += [(f"{self_prefix}c", (dc_in, hidden)), (f"{self_prefix}t", (dt_in, hidden))]
+    if kind == "gat":
+        for rel in RELATIONS:
+            spec += [(f"a_dst_{rel}", (1, hidden)), (f"a_src_{rel}", (1, hidden))]
+    elif kind == "gin":
+        for tau in ("c", "t"):
+            spec += [(f"mlp_w1_{tau}", (hidden, hidden)), (f"mlp_b1_{tau}", (1, hidden)),
+                     (f"mlp_w2_{tau}", (hidden, hidden)), (f"mlp_b2_{tau}", (1, hidden))]
+    return spec
+
+
+def _checkpoint_floats(kind: str, d_c: int, d_t: int, num_layers: int,
+                       hidden: int) -> int:
+    """Float64 values a checkpoint of these sizes stores: the parameters
+    and, per batch-norm site, gamma, beta and both running statistics."""
+    def layer(dc_in, dt_in):
+        return sum(r * c for _, (r, c) in _layer_spec(kind, dc_in, dt_in, hidden))
+    return (layer(d_c, d_t) + hidden
+            + (num_layers - 1) * (layer(hidden, hidden) + 2 * 4 * hidden))
+
+
 def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
                 hidden: int = 32, heads: int = 4, seed: int = 0) -> ModelParams:
     """Build freshly initialized parameters; deterministic per seed."""
@@ -103,34 +125,15 @@ def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
     rng = np.random.default_rng(seed)
     params = ModelParams(kind, d_c, d_t, num_layers, hidden, heads)
     for l in range(num_layers):
-        dc_in = d_c if l == 0 else hidden
-        dt_in = d_t if l == 0 else hidden
-        src_dim = {OUT_FWD: dc_in, IN_REV: dc_in, OUT_REV: dt_in, IN_FWD: dt_in}
         p: dict[str, Tensor] = {}
-        if kind == "gat":
-            d_head = hidden // heads
-            for rel in RELATIONS:
-                p[f"w_{rel}"] = _glorot(rng, (src_dim[rel], hidden))
-            p["w_self_c"] = _glorot(rng, (dc_in, hidden))
-            p["w_self_t"] = _glorot(rng, (dt_in, hidden))
-            for rel in RELATIONS:
-                p[f"a_dst_{rel}"] = _attn_vec(rng, hidden, d_head)
-                p[f"a_src_{rel}"] = _attn_vec(rng, hidden, d_head)
-        elif kind == "sage":
-            for rel in RELATIONS:
-                p[f"w_nbr_{rel}"] = _glorot(rng, (src_dim[rel], hidden))
-            p["w_self_c"] = _glorot(rng, (dc_in, hidden))
-            p["w_self_t"] = _glorot(rng, (dt_in, hidden))
-        else:
-            for rel in RELATIONS:
-                p[f"w_proj_{rel}"] = _glorot(rng, (src_dim[rel], hidden))
-            p["w_proj_self_c"] = _glorot(rng, (dc_in, hidden))
-            p["w_proj_self_t"] = _glorot(rng, (dt_in, hidden))
-            for tau in ("c", "t"):
-                p[f"mlp_w1_{tau}"] = _glorot(rng, (hidden, hidden))
-                p[f"mlp_b1_{tau}"] = Tensor(np.zeros((1, hidden)), requires_grad=True)
-                p[f"mlp_w2_{tau}"] = _glorot(rng, (hidden, hidden))
-                p[f"mlp_b2_{tau}"] = Tensor(np.zeros((1, hidden)), requires_grad=True)
+        for name, shape in _layer_spec(kind, d_c if l == 0 else hidden,
+                                       d_t if l == 0 else hidden, hidden):
+            if name.startswith("a_"):
+                p[name] = _attn_vec(rng, hidden, hidden // heads)
+            elif name.startswith("mlp_b"):
+                p[name] = Tensor(np.zeros(shape), requires_grad=True)
+            else:
+                p[name] = _glorot(rng, shape)
         params.layers.append(p)
     for _ in range(num_layers - 1):
         params.bn.append({tau: {"gamma": Tensor(np.ones(hidden), requires_grad=True),
@@ -141,29 +144,20 @@ def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
     return params
 
 
-@functools.cache
-def _head_mats(heads: int, d_head: int) -> tuple[Tensor, Tensor]:
-    """Constant 0/1 block matrices: reduce (K*d, K) sums each head's block,
-    expand (K, K*d) broadcasts one value per head across its block. Every
-    caller shares the cached tensors; they take no gradient and are never
-    written."""
-    reduce = np.kron(np.eye(heads), np.ones((d_head, 1)))
-    return Tensor(reduce), Tensor(reduce.T)
-
-
 def _gat_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
               attention):
     """Attention-weighted aggregation over both relations into `dest`;
     stores each relation's coefficients in `attention` (see `encode`)."""
-    reduce, expand = _head_mats(params.heads, params.d_head)
+    heads = params.heads
     h_self = matmul(z_self, p[f"w_self_{dest}"])
     agg = None
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
+        a_src = p[f"a_src_{rel}"]
         h_src = matmul(z_src, p[f"w_{rel}"])
-        s_src = matmul(hadamard(h_src, p[f"a_src_{rel}"]), reduce)
-        s_dst = matmul(hadamard(h_self, p[f"a_dst_{rel}"]), reduce)
-        s_self_src = matmul(hadamard(h_self, p[f"a_src_{rel}"]), reduce)
+        s_src = head_dot(h_src, a_src, heads)
+        s_dst = head_dot(h_self, p[f"a_dst_{rel}"], heads)
+        s_self_src = head_dot(h_self, a_src, heads)
         edge_logits = leaky_relu(add(gather_rows(s_dst, self_idx[dst]),
                                      gather_rows(s_src, src)))
         self_logits = leaky_relu(add(gather_rows(s_dst, self_idx),
@@ -172,10 +166,9 @@ def _gat_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
         segments = np.concatenate([dst, np.arange(n_out, dtype=np.int64)])
         alpha = segment_softmax(logits, segments, n_out)
         attention[rel] = (alpha.data[:len(dst)], alpha.data[len(dst):], dst)
-        weights = matmul(alpha, expand)
         values = concat([gather_rows(h_src, src),
                          gather_rows(h_self, self_idx)], axis=0)
-        contrib = segment_sum(hadamard(values, weights), segments, n_out)
+        contrib = segment_sum(head_scale(values, alpha), segments, n_out)
         agg = contrib if agg is None else add(agg, contrib)
     return agg
 
@@ -286,6 +279,8 @@ def _write_str(fh: BinaryIO, s: str) -> None:
 
 def _read_str(fh: BinaryIO) -> str:
     (n,) = struct.unpack("<I", fh.read(4))
+    if n > bytes_left(fh):
+        raise ValueError(f"string of {n} bytes runs past the end of the file")
     return fh.read(n).decode("utf-8")
 
 
@@ -323,6 +318,12 @@ def load_model(path: str) -> ModelParams:
                 raise IngestError(f"{path}: unsupported checkpoint version {version}")
             kind = _read_str(fh)
             d_c, d_t, num_layers, hidden, heads = struct.unpack("<5I", fh.read(20))
+            if kind in KINDS:  # size the header before init_params allocates it
+                need = 8 * _checkpoint_floats(kind, d_c, d_t, num_layers, hidden)
+                left = bytes_left(fh)
+                if need > left:
+                    raise IngestError(f"{path}: corrupt checkpoint: its header needs "
+                                      f"{need} bytes of arrays, {left} left")
             try:  # a header init_params refuses is corrupt data here
                 params = init_params(kind, d_c, d_t, num_layers, hidden, heads)
             except ConfigError as e:

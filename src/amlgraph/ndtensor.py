@@ -13,6 +13,8 @@ so independent tapes may run in parallel threads without sharing state.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 import threading
 from typing import BinaryIO, Sequence
@@ -306,15 +308,41 @@ def mean_rows(x: Tensor) -> Tensor:
 # indexing / segments
 
 
+@functools.cache
+def _cols(width: int) -> np.ndarray:
+    cols = np.arange(width, dtype=np.int64)
+    cols.flags.writeable = False   # shared by every caller
+    return cols
+
+
+def _scatter_add(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """out[s] = sum of the rows x[i] with ids[i] == s; out has n rows.
+
+    One bincount over flat (row, column) bins. It adds each bin's terms in
+    row order starting from 0.0, so the result is bit-identical to
+    ``np.add.at`` into zeros. ids must lie in [0, n): bincount rejects a
+    negative id where ``add.at`` would wrap it.
+    """
+    if x.ndim == 1:
+        out = np.bincount(ids, x, n)
+    elif x.ndim == 2:
+        width = x.shape[1]
+        bins = ids[:, None] * width + _cols(width)
+        out = np.bincount(bins.ravel(), x.ravel(), n * width).reshape(n, width)
+    else:
+        flat = _scatter_add(x.reshape(len(x), math.prod(x.shape[1:])), ids, n)
+        return flat.reshape((n,) + x.shape[1:])
+    # bincount of empty input is int64 even with float weights
+    return out.astype(np.float64, copy=False)
+
+
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of x: out[i] = x[idx[i]]. Backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx], x.requires_grad)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        return (_scatter_add(g, idx, x.shape[0]),)
 
     return _maybe_record(out, (x,), backward)
 
@@ -324,9 +352,7 @@ def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     segments = np.asarray(segments, dtype=np.int64)
     if segments.shape[0] != x.shape[0]:
         raise DimensionError("segment ids must match the leading dim of x")
-    data = np.zeros((num_segments,) + x.shape[1:], dtype=np.float64)
-    np.add.at(data, segments, x.data)
-    out = Tensor(data, x.requires_grad)
+    out = Tensor(_scatter_add(x.data, segments, num_segments), x.requires_grad)
 
     def backward(g):
         return (g[segments],)
@@ -345,22 +371,76 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
     if segments.shape[0] != logits.shape[0]:
         raise DimensionError("segment ids must match the leading dim of logits")
     d = logits.data
-    tail = d.shape[1:]
-    m = np.full((num_segments,) + tail, -np.inf)
+    m = np.full((num_segments,) + d.shape[1:], -np.inf)
     np.maximum.at(m, segments, d)
     e = np.exp(d - m[segments])
-    denom = np.zeros((num_segments,) + tail)
-    np.add.at(denom, segments, e)
-    y = e / denom[segments]
+    y = e / _scatter_add(e, segments, num_segments)[segments]
     out = Tensor(y, logits.requires_grad)
 
     def backward(g):
         gy = g * y
-        dots = np.zeros((num_segments,) + tail)
-        np.add.at(dots, segments, gy)
-        return (gy - y * dots[segments],)
+        return (gy - y * _scatter_add(gy, segments, num_segments)[segments],)
 
     return _maybe_record(out, (logits,), backward)
+
+
+# ---------------------------------------------------------------------------
+# attention heads: a row of width heads*d holds one block of d columns per head
+
+
+@functools.cache
+def _head_blocks(heads: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each nonzero of a (width, heads) block-diagonal
+    matrix whose column k covers head k's block of rows."""
+    cols = np.repeat(_cols(heads), width // heads)
+    cols.flags.writeable = False   # shared by every caller
+    return _cols(width), cols
+
+
+def head_dot(h: Tensor, a: Tensor, heads: int) -> Tensor:
+    """Per-head inner products: out[i, k] = <h[i, block k], a[0, block k]>.
+
+    h is (n, heads*d) and a is (1, heads*d); out is (n, heads). One matmul
+    with a block-diagonal copy of a, so the product h*a is never formed.
+    """
+    width = h.shape[1]
+    if a.shape != (1, width) or width % heads:
+        raise DimensionError(f"head_dot needs a of shape (1, {width}) split "
+                             f"into {heads} heads, got {a.shape}")
+    rows, cols = _head_blocks(heads, width)
+    blocks = np.zeros((width, heads))
+    blocks[rows, cols] = a.data[0]
+    out = Tensor(h.data @ blocks, h.requires_grad or a.requires_grad)
+
+    def backward(g):
+        gh = g @ blocks.T if h.requires_grad else None
+        ga = (h.data.T @ g)[rows, cols][None] if a.requires_grad else None
+        return gh, ga
+
+    return _maybe_record(out, (h, a), backward)
+
+
+def head_scale(v: Tensor, alpha: Tensor) -> Tensor:
+    """Each head's block of columns times that head's coefficient:
+    out[i, block k] = v[i, block k] * alpha[i, k].
+
+    v is (n, heads*d) and alpha is (n, heads).
+    """
+    (n, width), heads = v.shape, alpha.shape[1]
+    if alpha.shape[0] != n or width % heads:
+        raise DimensionError(f"head_scale shapes incompatible: {v.shape} by {alpha.shape}")
+    d_head = width // heads
+    weights = np.repeat(alpha.data, d_head, axis=1)
+    out = Tensor(v.data * weights, v.requires_grad or alpha.requires_grad)
+
+    def backward(g):
+        gv = g * weights if v.requires_grad else None
+        galpha = (np.einsum("nkd,nkd->nk", g.reshape(n, heads, d_head),
+                            v.data.reshape(n, heads, d_head))
+                  if alpha.requires_grad else None)
+        return gv, galpha
+
+    return _maybe_record(out, (v, alpha), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +528,25 @@ def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f8").tobytes())
 
 
+def bytes_left(fh: BinaryIO) -> int:
+    """Bytes from the read position of a seekable binary file to its end."""
+    pos = fh.tell()
+    end = fh.seek(0, 2)
+    fh.seek(pos)
+    return end - pos
+
+
 def read_array(fh: BinaryIO) -> np.ndarray:
+    """An array as write_array wrote it. A shape header that needs more
+    bytes than the file has left raises ValueError before that many bytes
+    are read or allocated."""
     (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+    left = bytes_left(fh) - 4 * ndim
+    if left < 0:
+        raise ValueError(f"array header of {ndim} dims runs past the end of the file")
+    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+    size = 8 * math.prod(shape)
+    if size > left:
+        raise ValueError(f"array of shape {shape} needs {size} bytes, {left} left")
+    data = np.frombuffer(fh.read(size), dtype="<f8")
     return data.reshape(shape).astype(np.float64)

@@ -464,6 +464,9 @@ def _parse_result(obj: dict) -> AnomalyResult:
         if score is not None and (type(score) not in (int, float)
                                   or not np.isfinite(score)):
             raise ValueError(f"score {score!r} is not a finite number or null")
+    if type(r.txn_id) is not str or type(r.customer_id) is not str:
+        raise ValueError(f"txn_id {r.txn_id!r} or customer_id "
+                         f"{r.customer_id!r} is not a string")
     if r.direction not in DIRECTIONS or type(r.cold_start) is not bool:
         raise ValueError(f"direction {r.direction!r} or cold_start "
                          f"{r.cold_start!r} is invalid")

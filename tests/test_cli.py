@@ -254,6 +254,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'seed'" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("layers", 2.9), ("seed", True), ("lr", "1e-3"), ("lr", 10 ** 400)])
+    def test_wrong_form_train_config_is_1(self, pipeline, tmp_path, capsys,
+                                          key, value):
+        """A fraction for an int key, a bool for a number, a numeric
+        string or an int too large for a float is refused, not converted."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "m.bin"
+        assert run("train", "--graph", pipeline["graph"], "--out", str(out),
+                   "--config", str(cfg), "--epochs", "1") == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+
+    def test_oversized_model_header_is_2(self, pipeline, tmp_path,
+                                         monkeypatch, capsys):
+        blob = bytearray(open(pipeline["model"], "rb").read())
+        struct.pack_into("<I", blob, 15 + 12, 1 << 24)   # hidden, after "gat"
+        model = tmp_path / "model.bin"
+        model.write_bytes(bytes(blob))
+
+        def init_params(*args, **kwargs):
+            raise AssertionError("init_params ran on an oversized header")
+
+        monkeypatch.setattr(md, "init_params", init_params)
+        out = tmp_path / "scores.jsonl"
+        assert run("score", "--graph", pipeline["graph"], "--model", str(model),
+                   "--transactions",
+                   os.path.join(pipeline["data"], "transactions_test.jsonl"),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_config_error_is_1(self, tmp_path):
         assert run("gen-data", "--out-dir", str(tmp_path / "d"),
                    "--n-customers", "1") == 1
@@ -374,7 +408,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("field,value", [
         ("anomaly_score", "high"), ("y_hat", float("nan")), ("y_hat", True),
-        ("cold_start", "no"), ("direction", "sideways")])
+        ("cold_start", "no"), ("direction", "sideways"), ("txn_id", ["t1"]),
+        ("customer_id", 7)])
     def test_scores_bad_field_is_2(self, pipeline, tmp_path, field, value):
         records = [json.loads(line) for line in open(pipeline["scores"])]
         victim = next(r for r in records if not r["cold_start"])

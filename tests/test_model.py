@@ -1,5 +1,7 @@
 """Encoders and decoder: formula oracles, invariants, gradient checks."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -440,6 +442,40 @@ class TestCheckpoint:
             path.write_bytes(blob[:n])
             with pytest.raises(IngestError):
                 md.load_model(str(path))
+
+    @pytest.mark.parametrize("kind", md.KINDS)
+    @pytest.mark.parametrize("field,value", [
+        ("d_c", 1 << 20), ("hidden", 1 << 20), ("num_layers", 1 << 30)])
+    def test_oversized_header_rejected_before_allocation(
+            self, tmp_path, monkeypatch, kind, field, value):
+        """Sizes the rest of the file cannot hold are refused before
+        init_params allocates them."""
+        path = tmp_path / "model.bin"
+        md.save_model(md.init_params(kind, 3, 2, 2, 4, 2, seed=0), str(path))
+        blob = bytearray(path.read_bytes())
+        fields = ("d_c", "d_t", "num_layers", "hidden", "heads")
+        struct.pack_into("<I", blob, 12 + len(kind) + 4 * fields.index(field), value)
+        path.write_bytes(bytes(blob))
+
+        class Allocated(Exception):
+            pass
+
+        def init_params(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(md, "init_params", init_params)
+        with pytest.raises(IngestError, match="header"):
+            md.load_model(str(path))
+
+    def test_header_size_matches_saved_arrays(self, tmp_path):
+        """The header check counts exactly the floats a checkpoint holds."""
+        for kind in md.KINDS:
+            for layers in (1, 3):
+                params = md.init_params(kind, 5, 3, layers, 8, 2, seed=0)
+                floats = sum(t.size for t in params.parameters()) + sum(
+                    site[tau]["state"].running_mean.size * 2
+                    for site in params.bn for tau in ("c", "t"))
+                assert md._checkpoint_floats(kind, 5, 3, layers, 8) == floats
 
     @pytest.mark.parametrize("site,value", [
         ("decoder.w", np.nan), ("layer0.w_self_c", np.inf),

@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,26 @@ class TestGradients:
             lambda x: nd.sum_all(nd.hadamard(nd.segment_softmax(x, seg, 3), w)),
             RNG.normal(size=(6, 2)))
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_head_dot(self, heads):
+        width = 3 * heads
+        a = nd.Tensor(RNG.normal(size=(1, width)))
+        h = nd.Tensor(RNG.normal(size=(5, width)))
+        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_dot(x, a, heads))),
+                   RNG.normal(size=(5, width)))
+        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_dot(h, x, heads))),
+                   RNG.normal(size=(1, width)))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_head_scale(self, heads):
+        width = 3 * heads
+        alpha = nd.Tensor(RNG.uniform(0.1, 1.0, size=(5, heads)))
+        v = nd.Tensor(RNG.normal(size=(5, width)))
+        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_scale(x, alpha))),
+                   RNG.normal(size=(5, width)))
+        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_scale(v, x))),
+                   RNG.uniform(0.1, 1.0, size=(5, heads)))
+
     def test_bce(self):
         x0 = RNG.uniform(0.1, 0.9, size=(8,))
         t = (RNG.random(8) > 0.5).astype(float)
@@ -235,6 +256,63 @@ class TestGradients:
         check_grad(
             lambda x: nd.sum_all(nd.sigmoid(nd.batch_norm(x, gamma, beta, state, False))),
             RNG.normal(size=(5, 3)))
+
+
+class TestScatter:
+    """The scatter under gather_rows' backward and every segment op."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_add_at(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        ids = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=40),
+                                 label="ids"), dtype=np.int64)
+        width = data.draw(st.sampled_from([None, 1, 4, 32]), label="width")
+        tail = () if width is None else (width,)
+        values = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=len(ids)
+                                    * (width or 1), max_size=len(ids) * (width or 1)))
+        x = np.array(values, dtype=np.float64).reshape((len(ids),) + tail)
+        want = np.zeros((n,) + tail)
+        np.add.at(want, ids, x)
+        got = nd._scatter_add(x, ids, n)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tail", [(), (1,), (4,), (2, 3)])
+    def test_empty_input_is_float_zeros(self, tail):
+        got = nd._scatter_add(np.zeros((0,) + tail), np.zeros(0, dtype=np.int64), 3)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.zeros((3,) + tail))
+
+    def test_higher_rank_rows(self):
+        x = RNG.normal(size=(5, 2, 3))
+        ids = np.array([0, 2, 2, 1, 0])
+        want = np.zeros((3, 2, 3))
+        np.add.at(want, ids, x)
+        assert nd._scatter_add(x, ids, 3).tobytes() == want.tobytes()
+
+
+class TestHeadOps:
+    def test_head_dot_matches_per_head_sums(self):
+        h = RNG.normal(size=(6, 8))
+        a = RNG.normal(size=(1, 8))
+        got = nd.head_dot(nd.Tensor(h), nd.Tensor(a), 4).data
+        want = (h * a).reshape(6, 4, 2).sum(axis=2)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_head_scale_scales_each_block(self):
+        v = RNG.normal(size=(3, 6))
+        alpha = RNG.uniform(size=(3, 2))
+        got = nd.head_scale(nd.Tensor(v), nd.Tensor(alpha)).data
+        assert got.tobytes() == (v * np.repeat(alpha, 3, axis=1)).tobytes()
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            nd.head_dot(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((1, 4))), 2)
+        with pytest.raises(DimensionError):
+            nd.head_dot(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((1, 6))), 4)
+        with pytest.raises(DimensionError):
+            nd.head_scale(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((3, 2))))
 
 
 class TestOpSemantics:
@@ -385,3 +463,23 @@ class TestSerialization:
         buf.seek(0)
         b = nd.read_array(buf)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("header", [(2, 60000, 60000), (1 << 30,)])
+    def test_oversized_header_rejected_before_reading(self, header):
+        """A shape header larger than the rest of the file is refused
+        without asking the file for that many bytes."""
+        class Spy(io.BytesIO):
+            largest = 0
+
+            def read(self, size=-1):
+                Spy.largest = max(Spy.largest, size)
+                return super().read(size)
+
+        buf = io.BytesIO()
+        nd.write_array(buf, np.ones((2, 3)))
+        raw = bytearray(buf.getvalue())
+        struct.pack_into(f"<{len(header)}I", raw, 0, *header)
+        spy = Spy(bytes(raw))
+        with pytest.raises(ValueError):
+            nd.read_array(spy)
+        assert Spy.largest <= len(raw)
