@@ -168,26 +168,35 @@ def export_embeddings(params: ModelParams, g: BipartiteGraph, path: str,
 
 
 def read_embeddings(path: str) -> tuple[dict, dict]:
-    """Inverse of export_embeddings: ({customer: vec}, {transaction: vec})."""
+    """Inverse of export_embeddings: ({customer: vec}, {transaction: vec}).
+
+    Text that is not UTF-8, a malformed row and a non-finite coordinate
+    raise IngestError naming the file (and line).
+    """
     customers: dict[str, np.ndarray] = {}
     txns: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:2] != ["node_type", "node_id"]:
-            raise IngestError(f"{path}: not an embedding export")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise IngestError(f"{path}:{lineno}: wrong column count")
-            kind, nid = parts[0], parts[1]
-            try:
-                vec = np.array([float(v) for v in parts[2:]])
-            except ValueError as e:
-                raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
-            if kind == "customer":
-                customers[nid] = vec
-            elif kind == "transaction":
-                txns[nid] = vec
-            else:
-                raise IngestError(f"{path}:{lineno}: unknown node type {kind!r}")
+        try:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[:2] != ["node_type", "node_id"]:
+                raise IngestError(f"{path}: not an embedding export")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != len(header):
+                    raise IngestError(f"{path}:{lineno}: wrong column count")
+                kind, nid = parts[0], parts[1]
+                try:
+                    vec = np.array([float(v) for v in parts[2:]])
+                except ValueError as e:
+                    raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
+                if not np.all(np.isfinite(vec)):
+                    raise IngestError(f"{path}:{lineno}: non-finite embedding value")
+                if kind == "customer":
+                    customers[nid] = vec
+                elif kind == "transaction":
+                    txns[nid] = vec
+                else:
+                    raise IngestError(f"{path}:{lineno}: unknown node type {kind!r}")
+        except UnicodeDecodeError as e:
+            raise IngestError(f"{path}: not UTF-8 text: {e}") from e
     return customers, txns

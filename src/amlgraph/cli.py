@@ -60,7 +60,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(_require(path), "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -87,17 +87,20 @@ def _effective(args, names: dict) -> dict:
 
 def _num(cfg: dict, key: str, cast):
     """cfg[key] as `cast` (int or float). An int key takes only an int, a
-    float key an int or a float; anything else, bools and numeric strings
-    included, is a config error naming the key."""
+    float key an int or a finite float; anything else, bools, numeric
+    strings, NaN and infinities included, is a config error naming the key."""
     value = cfg[key]
     kinds = (int,) if cast is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"config key {key!r}: expected {cast.__name__}, "
                           f"got {value!r}")
     try:
-        return cast(value)
+        out = cast(value)
     except OverflowError as e:
         raise ConfigError(f"config key {key!r}: {value!r} is out of range") from e
+    if cast is float and not np.isfinite(out):
+        raise ConfigError(f"config key {key!r}: {value!r} is not finite")
+    return out
 
 
 GEN_DEFAULTS = {

@@ -215,7 +215,20 @@ def write_labels(path: str, labels: list[TxnLabel]) -> None:
                 "dst_community": lab.dst_community}) + "\n")
 
 
+def _parse_label(obj: dict) -> TxnLabel:
+    label = TxnLabel(obj["txn_id"], obj["anomaly"], obj["src_community"],
+                     obj["dst_community"])
+    if type(label.txn_id) is not str or type(label.anomaly) is not bool:
+        raise ValueError(f"txn_id {label.txn_id!r} is not a string or anomaly "
+                         f"{label.anomaly!r} is not a bool")
+    if not all(type(c) is int for c in (label.src_community, label.dst_community)):
+        raise ValueError(f"communities {label.src_community!r}, "
+                         f"{label.dst_community!r} are not integers")
+    return label
+
+
 def load_labels(path: str) -> list[TxnLabel]:
-    return read_records(path, lambda obj: TxnLabel(
-        obj["txn_id"], bool(obj["anomaly"]), int(obj["src_community"]),
-        int(obj["dst_community"])))
+    """Labels as `write_labels` writes them; a field of the wrong type
+    (an `anomaly` that is not a JSON bool, a community that is not an
+    integer) raises IngestError naming the file and line."""
+    return read_records(path, _parse_label)

@@ -385,7 +385,8 @@ class Subgraph:
     level of the source type, dst_local the output level of the
     destination type, and edge_txn is the global transaction index (the
     edge id). ``self_c[i]``/``self_t[i]`` locate each output node inside
-    the input level for self/skip terms.
+    the input level for self/skip terms. A union made by `stack_subgraphs`
+    concatenates its parts' levels, so its levels are not sorted.
     """
     depth: int
     levels_c: tuple
@@ -543,6 +544,59 @@ def sample_neighborhood(g: BipartiteGraph, seed_edges, fanout: int,
     pairs = np.asarray(seed_edges, dtype=np.int64).reshape(-1, 2)
     return sample_neighborhood_nodes(g, pairs[:, 0], pairs[:, 1], fanout,
                                      num_layers, seed, removed_out, removed_in)
+
+
+# (source, destination) node type of each relation
+_REL_ENDS = {OUT_FWD: ("c", "t"), OUT_REV: ("t", "c"),
+             IN_FWD: ("t", "c"), IN_REV: ("c", "t")}
+
+
+def stack_subgraphs(subs: Sequence[Subgraph]
+                    ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
+    """Block-diagonal union of subgraphs of one depth, encoded in one pass.
+
+    Each level of the union is the concatenation of the parts' levels, and
+    each part's local edge and self indices are shifted by the rows of the
+    parts before it, so no edge joins two parts. The union's levels are
+    not sorted: its seed positions are part i's own `seed_positions_*`
+    plus its offset. Returns (union, (offsets_c, offsets_t)), where
+    offsets_c[i]/offsets_t[i] is the first level-0 customer/transaction
+    row of part i.
+    """
+    if not subs:
+        raise ConfigError("need at least one subgraph to stack")
+    depth = subs[0].depth
+    if any(s.depth != depth for s in subs):
+        raise ConfigError("subgraphs to stack differ in depth")
+    sizes = {"c": np.array([[len(lv) for lv in s.levels_c] for s in subs]),
+             "t": np.array([[len(lv) for lv in s.levels_t] for s in subs])}
+    # offsets[tau][i, h]: rows of level h of type tau before part i
+    offsets = {tau: np.cumsum(n, axis=0) - n for tau, n in sizes.items()}
+
+    def cat(arrays, shift=None):
+        arrays = list(arrays)
+        out = np.concatenate(arrays)
+        if shift is not None:
+            out += np.repeat(shift, [len(x) for x in arrays])
+        return out
+
+    layers, self_c, self_t = [], [], []
+    for j in range(depth):
+        h_in, h_out = depth - j, depth - j - 1
+        rels = {}
+        for rel, (src_tau, dst_tau) in _REL_ENDS.items():
+            parts = [s.layers[j][rel] for s in subs]
+            rels[rel] = (cat((p[0] for p in parts), offsets[src_tau][:, h_in]),
+                         cat((p[1] for p in parts), offsets[dst_tau][:, h_out]),
+                         cat(p[2] for p in parts))
+        layers.append(rels)
+        self_c.append(cat((s.self_c[j] for s in subs), offsets["c"][:, h_in]))
+        self_t.append(cat((s.self_t[j] for s in subs), offsets["t"][:, h_in]))
+    union = Subgraph(depth,
+                     tuple(cat(s.levels_c[h] for s in subs) for h in range(depth + 1)),
+                     tuple(cat(s.levels_t[h] for s in subs) for h in range(depth + 1)),
+                     tuple(layers), tuple(self_c), tuple(self_t))
+    return union, (offsets["c"][:, 0], offsets["t"][:, 0])
 
 
 def full_subgraph(g: BipartiteGraph, num_layers: int) -> Subgraph:

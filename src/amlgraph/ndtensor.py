@@ -27,6 +27,9 @@ BCE_EPS = 1e-7
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LEAKY_SLOPE = 0.2
+# operand shapes at which BLAS products are row-exact (see _row_exact)
+_COL_BLOCK = 8
+_INNER_BLOCK = 256
 
 _local = threading.local()
 
@@ -140,12 +143,36 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # arithmetic
 
 
+def _row_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D arrays, each output row a function of its own row of a.
+
+    BLAS rounds a row of a product the same way at every row count only
+    under three conditions, so the operands are brought to them: a 1-row
+    a is padded to 2 rows (numpy sends 1 row to gemv), b is padded with
+    zero columns to a multiple of _COL_BLOCK (narrower column tails round
+    differently at different row counts), and the inner dimension is cut
+    into blocks of at most _INNER_BLOCK whose products are added in order
+    (BLAS blocks a longer one differently at different row counts). A
+    record encoded inside a batch thus gets the bits it gets alone.
+    """
+    m, n = a.shape[0], b.shape[1]
+    if m == 1:
+        a = np.concatenate([a, a])
+    if n % _COL_BLOCK:
+        b = np.concatenate([b, np.zeros((b.shape[0], -n % _COL_BLOCK))], axis=1)
+    out = a[:, :_INNER_BLOCK] @ b[:_INNER_BLOCK]
+    for lo in range(_INNER_BLOCK, b.shape[0], _INNER_BLOCK):
+        out += a[:, lo:lo + _INNER_BLOCK] @ b[lo:lo + _INNER_BLOCK]
+    return out[:m, :n]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b; the forward product is row-exact (see _row_exact)."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul expects 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(_row_exact(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def backward(g):
         ga = g @ b.data.T if a.requires_grad else None
@@ -400,8 +427,9 @@ def _head_blocks(heads: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 def head_dot(h: Tensor, a: Tensor, heads: int) -> Tensor:
     """Per-head inner products: out[i, k] = <h[i, block k], a[0, block k]>.
 
-    h is (n, heads*d) and a is (1, heads*d); out is (n, heads). One matmul
-    with a block-diagonal copy of a, so the product h*a is never formed.
+    h is (n, heads*d) and a is (1, heads*d); out is (n, heads). One
+    row-exact product with a block-diagonal copy of a, so the product h*a
+    is never formed.
     """
     width = h.shape[1]
     if a.shape != (1, width) or width % heads:
@@ -410,7 +438,7 @@ def head_dot(h: Tensor, a: Tensor, heads: int) -> Tensor:
     rows, cols = _head_blocks(heads, width)
     blocks = np.zeros((width, heads))
     blocks[rows, cols] = a.data[0]
-    out = Tensor(h.data @ blocks, h.requires_grad or a.requires_grad)
+    out = Tensor(_row_exact(h.data, blocks), h.requires_grad or a.requires_grad)
 
     def backward(g):
         gh = g @ blocks.T if h.requires_grad else None

@@ -10,6 +10,9 @@ Scoring attaches each new transaction to the reference graph one at a
 time: the predicted direction is severed, the transaction embedding is
 computed through the sampled neighborhood, and it is decoded against
 the counterpart customer's embedding from the reference graph alone.
+Records are sampled one by one and encoded in chunks, one encode over
+the block-diagonal union of a chunk's samples; each record's result is
+bit-identical to encoding its sample alone.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
                     RawTransaction, as_rng, check_direction, extend_graph,
                     read_records, sample_negatives, sample_neighborhood,
-                    sample_neighborhood_nodes)
+                    sample_neighborhood_nodes, stack_subgraphs)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
 from .ndtensor import Tensor, bce, gather_rows, reshape, scale, zero_grad
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# sampled input rows of one scoring encode: about 150 records at 2 layers,
+# which amortizes per-op overhead, and about 1 MB per array at any depth
+_SCORE_CHUNK_ROWS = 1 << 12
 
 
 @dataclass
@@ -62,8 +68,8 @@ class TrainingConfig:
 
 def validate_fit_config(config) -> None:
     """Checks on the fields every trainer's config shares."""
-    if config.learning_rate <= 0:
-        raise ConfigError("learning_rate must be positive")
+    if not 0 < config.learning_rate < np.inf:
+        raise ConfigError("learning_rate must be positive and finite")
     if config.batch_size < 2:
         raise ConfigError("batch_size must be >= 2 (batch norm needs it)")
     if not 0.0 <= config.dropout < 1.0:
@@ -400,20 +406,26 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     Transactions are scored independently: the scored transaction is
     attached by its counterpart (non-predicted) edge only, other new
     transactions stay invisible, and the customer side of the decoder
-    comes from the reference graph without any new transaction.
+    comes from the reference graph without any new transaction. Records
+    are sampled one by one and encoded in chunks, one encode over the
+    block-diagonal union of a chunk's samples; the encoder's products are
+    row-exact, so each record's result is bit-identical to encoding its
+    sample alone.
     """
     if not new_transactions:
         return []
     ext_g, infos = extend_graph(g, new_transactions)
-    base_out = np.zeros(ext_g.n_transactions, dtype=bool)
-    base_out[g.n_transactions:] = True
-    base_in = base_out.copy()
+    # every new transaction's edges are absent; each record exposes one
+    removed_out = np.zeros(ext_g.n_transactions, dtype=bool)
+    removed_out[g.n_transactions:] = True
+    removed_in = removed_out.copy()
 
     needed = sorted({i for info in infos for i in (info.src_index, info.dst_index)
                      if i is not None})
     ref = _reference_embeddings(params, g, np.asarray(needed, dtype=np.int64),
                                 config.seed, config.fanout)
-    results = []
+    # (txn info, direction, customer id, customer index or None when cold)
+    records = []
     for info in infos:
         raw = new_transactions[info.txn_index - g.n_transactions]
         for direction, cust_idx, cold, cust_id in (
@@ -421,27 +433,50 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
                 (INCOMING, info.dst_index, info.dst_cold, raw.dest_customer)):
             if cust_idx is None and not cold:
                 continue  # EXTERNAL side: no edge to predict
-            if cold:
-                results.append(AnomalyResult(info.txn_id, direction, cust_id,
-                                             None, None, True))
+            records.append((info, direction, cust_id, None if cold else cust_idx))
+
+    def chunks():
+        """(record numbers, samples) of consecutive warm records whose
+        samples' input levels hold at most _SCORE_CHUNK_ROWS rows in all,
+        or of one record whose sample alone holds more."""
+        ks, subs, rows = [], [], 0
+        for k, (info, direction, _, cust_idx) in enumerate(records):
+            if cust_idx is None:
                 continue
-            removed_out = base_out.copy()
-            removed_in = base_in.copy()
             # expose only the scored transaction's counterpart edge
-            if direction == OUTGOING:
-                removed_in[info.txn_index] = False
-            else:
-                removed_out[info.txn_index] = False
+            counterpart = removed_in if direction == OUTGOING else removed_out
+            counterpart[info.txn_index] = False
             rng = as_rng(np.random.SeedSequence(
                 [config.seed, 7, info.txn_index, 0 if direction == OUTGOING else 1]))
             sub = sample_neighborhood_nodes(
                 ext_g, [], [info.txn_index], config.fanout, params.num_layers,
                 rng, removed_out=removed_out, removed_in=removed_in)
-            _, z_t = encode(params, sub, ext_g.x_c, ext_g.x_t)
-            z_txn = z_t.data[sub.seed_positions_t([info.txn_index])]
-            y_hat = decode(params.w_dec, Tensor(ref[cust_idx].reshape(1, -1)),
-                           Tensor(z_txn))
-            y = float(y_hat.data[0, 0])
+            counterpart[info.txn_index] = True
+            n = len(sub.levels_c[-1]) + len(sub.levels_t[-1])
+            if ks and rows + n > _SCORE_CHUNK_ROWS:
+                yield ks, subs
+                ks, subs, rows = [], [], 0
+            ks.append(k)
+            subs.append(sub)
+            rows += n
+        if ks:
+            yield ks, subs
+
+    y_hat = np.full(len(records), np.nan)
+    for chunk, subs in chunks():
+        union, (_, first_t) = stack_subgraphs(subs)
+        _, z_t = encode(params, union, ext_g.x_c, ext_g.x_t)
+        # a record's level 0 is its one transaction
+        z_txn = Tensor(z_t.data[first_t])
+        z_cust = Tensor(np.stack([ref[records[k][3]] for k in chunk]))
+        y_hat[chunk] = decode(params.w_dec, z_cust, z_txn).data[:, 0]
+
+    results = []
+    for (info, direction, cust_id, cust_idx), y in zip(records, y_hat.tolist()):
+        if cust_idx is None:
+            results.append(AnomalyResult(info.txn_id, direction, cust_id,
+                                         None, None, True))
+        else:
             results.append(AnomalyResult(info.txn_id, direction, cust_id,
                                          y, float(anomaly_score(y)), False))
     return results

@@ -269,6 +269,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"'{key}'" in err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_lr_is_1(self, pipeline, tmp_path, capsys, value):
+        """Python's JSON reader accepts these literals; training must not."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lr": %s}' % value)
+        out = tmp_path / "m.bin"
+        assert run("train", "--graph", pipeline["graph"], "--out", str(out),
+                   "--config", str(cfg), "--epochs", "1") == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'lr'" in err
+
     def test_oversized_model_header_is_2(self, pipeline, tmp_path,
                                          monkeypatch, capsys):
         blob = bytearray(open(pipeline["model"], "rb").read())
@@ -440,3 +452,16 @@ class TestMalformedInput:
         assert run("diverge", "--embeddings", str(emb), str(emb),
                    "--out", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        b"node_type\tnode_id\tv0\tv1\ncustomer\tc0\t0.5\tnan\n",
+        b"node_type\tnode_id\tv0\ncustomer\tc0\t0.5\xff\n"],
+        ids=["nan", "not-utf8"])
+    def test_bad_embedding_is_2(self, tmp_path, capsys, body):
+        emb = tmp_path / "emb.tsv"
+        emb.write_bytes(body)
+        out = tmp_path / "drift.jsonl"
+        assert run("diverge", "--embeddings", str(emb), str(emb),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1

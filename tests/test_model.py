@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amlgraph import graph as gr
 from amlgraph import model as md
@@ -347,6 +349,55 @@ class TestLayerSemantics:
         a = md.encode(params, full_sub(g, 2), g.x_c, g.x_t)
         b = md.encode(params, full_sub(g, 4), g.x_c, g.x_t)
         np.testing.assert_allclose(a[0].data, b[0].data, atol=1e-9)
+
+
+class TestStackedEncode:
+    """One encode over `stack_subgraphs(subs)` gives each part's rows the
+    bits `encode(sub)` gives them alone; batched scoring relies on it."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_union_rows_equal_parts_alone(self, data):
+        kind = data.draw(st.sampled_from(md.KINDS), label="kind")
+        heads = data.draw(st.sampled_from([1, 2, 4]), label="heads") if kind == "gat" else 1
+        layers = data.draw(st.integers(1, 3), label="layers")
+        fanout = data.draw(st.integers(1, 3), label="fanout")
+        hidden = data.draw(st.sampled_from([8, 32]), label="hidden")
+        g = make_graph(seed=data.draw(st.integers(0, 99), label="graph"), n_c=6, n_t=40)
+        assert np.diff(g.out_indptr).max() > fanout   # the cap truncates
+        params = md.init_params(kind, g.d_customer, g.d_transaction, layers,
+                                hidden, heads, seed=3)
+        warm_bn(params, full_sub(g, layers), g)
+        everything = np.ones(g.n_transactions, dtype=bool)
+        masks = {"none": (None, None), "no out edges": (everything, None),
+                 "no in edges": (None, everything)}
+        subs = []
+        for i in range(data.draw(st.integers(1, 5), label="parts")):
+            seeds_c = data.draw(st.lists(st.integers(0, g.n_customers - 1),
+                                         max_size=3), label="seeds_c")
+            seeds_t = data.draw(st.lists(st.integers(0, g.n_transactions - 1),
+                                         min_size=0 if seeds_c else 1, max_size=3),
+                                label="seeds_t")
+            removed_out, removed_in = masks[data.draw(st.sampled_from(sorted(masks)),
+                                                      label="mask")]
+            subs.append(gr.sample_neighborhood_nodes(
+                g, seeds_c, seeds_t, fanout, layers, seed=i,
+                removed_out=removed_out, removed_in=removed_in))
+        union, (first_c, first_t) = gr.stack_subgraphs(subs)
+        zc, zt = md.encode(params, union, g.x_c, g.x_t)
+        assert len(zc.data) == sum(len(s.levels_c[0]) for s in subs)
+        assert len(zt.data) == sum(len(s.levels_t[0]) for s in subs)
+        for sub, c0, t0 in zip(subs, first_c, first_t):
+            ac, at = md.encode(params, sub, g.x_c, g.x_t)
+            assert zc.data[c0:c0 + len(ac.data)].tobytes() == ac.data.tobytes()
+            assert zt.data[t0:t0 + len(at.data)].tobytes() == at.data.tobytes()
+
+    def test_mismatched_depths_rejected(self):
+        g = make_graph(seed=28)
+        with pytest.raises(ConfigError):
+            gr.stack_subgraphs([full_sub(g, 1), full_sub(g, 2)])
+        with pytest.raises(ConfigError):
+            gr.stack_subgraphs([])
 
 
 class TestGradients:

@@ -315,6 +315,48 @@ class TestHeadOps:
             nd.head_scale(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((3, 2))))
 
 
+# row counts on both sides of BLAS's switch from small-matrix to packed kernels
+ROWS = st.one_of(st.integers(1, 40), st.integers(41, 1500))
+
+
+class TestRowExact:
+    """Each row of a forward product is bit-equal to the product of that
+    row alone, at every row count, so batching rows changes no result."""
+
+    @staticmethod
+    def _check_rows(op, x, data):
+        whole = op(x)
+        for i in range(len(x)):
+            assert op(x[i:i + 1]).tobytes() == whole[i:i + 1].tobytes(), i
+        lo = data.draw(st.integers(0, len(x) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(x)), label="hi")
+        assert op(x[lo:hi]).tobytes() == whole[lo:hi].tobytes()
+
+    @given(data=st.data(), m=ROWS,
+           k=st.one_of(st.integers(0, 70), st.integers(250, 600)),
+           n=st.one_of(st.just(1), st.integers(1, 40), st.sampled_from([64, 128])),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matmul(self, data, m, k, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(m, k)), nd.Tensor(rng.normal(size=(k, n)))
+        self._check_rows(lambda x: nd.matmul(nd.Tensor(x), b).data, a, data)
+
+    @given(data=st.data(), m=ROWS, heads=st.sampled_from([1, 2, 4]),
+           d_head=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_head_dot(self, data, m, heads, d_head, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(m, heads * d_head))
+        a = nd.Tensor(rng.normal(size=(1, heads * d_head)))
+        self._check_rows(lambda x: nd.head_dot(nd.Tensor(x), a, heads).data, h, data)
+
+    def test_values_match_plain_product(self):
+        a, b = RNG.normal(size=(5, 300)), RNG.normal(size=(300, 3))
+        np.testing.assert_allclose(nd.matmul(nd.Tensor(a), nd.Tensor(b)).data,
+                                   a @ b, rtol=1e-12)
+
+
 class TestOpSemantics:
     def test_segment_softmax_matches_direct_formula(self):
         x = RNG.normal(size=(7,))

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import amlgraph.graph as gr
+import amlgraph.model as md
 import amlgraph.ndtensor as nd
 import amlgraph.training as tr
 from amlgraph.errors import ConfigError, NumericalError
@@ -374,6 +377,43 @@ class TestScoring:
         assert [(r.direction, r.y_hat) for r in alone] == \
                [(r.direction, r.y_hat) for r in together]
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_chunking_changes_no_bit(self, trained, monkeypatch, wide):
+        """Records encoded in chunks of any size score bit-identically;
+        the row budget is varied from one record per encode to all."""
+        g, params, cfg = trained
+        cfg = dataclasses.replace(cfg, fanout=2)
+        if wide:   # products of widths where plain BLAS is not row-exact
+            cfg = dataclasses.replace(cfg, num_layers=3, hidden=32)
+            params = init_params("gat", g.d_customer, g.d_transaction, 3, 32, 2,
+                                 seed=4)
+        assert np.diff(g.out_indptr).max() > cfg.fanout   # the cap truncates
+        rng = np.random.default_rng(8)
+        ends = [f"c{i:03d}" for i in range(24)] + [gr.EXTERNAL, "ghost"]
+        new = []
+        for j in range(15):
+            src, dst = rng.choice(len(ends), size=2, replace=False)
+            new.append(gr.RawTransaction(f"n{j}", ends[src], ends[dst], 999.0,
+                                         rng.normal(size=3)))
+        encodes = []
+
+        def counting_encode(*args, **kwargs):
+            encodes.append(1)
+            return md.encode(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "encode", counting_encode)
+        runs, calls = [], []
+        for rows in (1, 2, 7, 40, 150, tr._SCORE_CHUNK_ROWS):
+            monkeypatch.setattr(tr, "_SCORE_CHUNK_ROWS", rows)
+            encodes.clear()
+            runs.append(tr.score_transactions(params, g, new, cfg))
+            calls.append(len(encodes))
+        warm = sum(r.y_hat is not None for r in runs[0])
+        # beside the reference encode: one per record, then ever fewer
+        assert warm > 7 and calls[0] == 1 + warm and calls[-1] == 2
+        assert calls == sorted(calls, reverse=True) and len(set(calls)) >= 4
+        assert all(run == runs[0] for run in runs[1:])
+
     def test_deterministic(self, trained):
         g, params, cfg = trained
         new = [gr.RawTransaction("n0", "c000", "c013", 999.0, [0.1, 0.2, 0.3])]
@@ -398,7 +438,9 @@ class TestScoring:
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("num_layers", 0), ("batch_size", 1), ("negatives", 0), ("fanout", 0),
-        ("learning_rate", 0.0), ("dropout", 1.0), ("dropout", -0.1),
+        ("learning_rate", 0.0), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", float("-inf")),
+        ("dropout", 1.0), ("dropout", -0.1),
         ("max_epochs", 0), ("patience", -1), ("seed", -1)])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
