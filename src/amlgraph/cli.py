@@ -205,9 +205,7 @@ def cmd_score(args) -> int:
     g = gr.load_graph(_require(args.graph))
     params = md.load_model(_require(args.model))
     new_txns = gr.load_transactions(_require(args.transactions))
-    tc = tr.TrainingConfig(num_layers=params.num_layers, hidden=params.hidden,
-                           heads=max(params.heads, 1), encoder=params.kind,
-                           fanout=_num(cfg, "fanout", int),
+    tc = tr.TrainingConfig(fanout=_num(cfg, "fanout", int),
                            seed=_num(cfg, "seed", int))
     results = tr.score_transactions(params, g, new_txns, tc)
     tr.write_results(args.out, results)
@@ -266,24 +264,28 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    cfg = _effective(args, {"layer": None})
+    layer = None if cfg["layer"] is None else _num(cfg, "layer", int)
     g = gr.load_graph(_require(args.graph))
     params = md.load_model(_require(args.model))
-    analytics.export_embeddings(params, g, args.out, layer=args.layer)
-    write_manifest(args.out + ".manifest.json", "embed",
-                   {"layer": args.layer}, [args.graph, args.model], [args.out])
+    analytics.export_embeddings(params, g, args.out, layer=layer)
+    write_manifest(args.out + ".manifest.json", "embed", cfg,
+                   [args.graph, args.model], [args.out])
     print(f"wrote embeddings for {g.n_customers + g.n_transactions} nodes "
           f"-> {args.out}")
     return 0
 
 
 def cmd_diverge(args) -> int:
+    cfg = _effective(args, {"threshold": analytics.DIVERGENCE_THRESHOLD})
+    threshold = _num(cfg, "threshold", float)
     snapshots = []
     for path in args.embeddings:
         customers, _ = analytics.read_embeddings(_require(path))
         if not customers:
             raise IngestError(f"{path}: no customer embeddings")
         snapshots.append(customers)
-    report = analytics.divergence_report(snapshots, threshold=args.threshold)
+    report = analytics.divergence_report(snapshots, threshold=threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in report:
             fh.write(json.dumps({
@@ -293,9 +295,8 @@ def cmd_diverge(args) -> int:
                 "similarity": [[float(v) for v in row]
                                for row in rec.similarity],
             }) + "\n")
-    write_manifest(args.out + ".manifest.json", "diverge",
-                   {"threshold": args.threshold}, list(args.embeddings),
-                   [args.out])
+    write_manifest(args.out + ".manifest.json", "diverge", cfg,
+                   list(args.embeddings), [args.out])
     n_div = sum(r.diverging for r in report)
     print(f"compared {len(report)} customers across {len(snapshots)} "
           f"snapshots: {n_div} diverging -> {args.out}")
@@ -388,15 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--layer", type=int, default=None)
+    p.add_argument("--layer", type=int)
     _add_config_opt(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("diverge", help="flag drifting customer embeddings")
     p.add_argument("--embeddings", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float,
-                   default=analytics.DIVERGENCE_THRESHOLD)
+    p.add_argument("--threshold", type=float)
     _add_config_opt(p)
     p.set_defaults(func=cmd_diverge)
     return parser

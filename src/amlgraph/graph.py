@@ -413,25 +413,40 @@ def _flat_neighbors(indptr, indices, frontier):
     return indices[starts + offsets], counts
 
 
-def _cap(owners_frontier, nbrs, counts, fanout, rng):
-    """Per-owner uniform sample without replacement when over the cap.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-    The RNG is consumed only for owners whose neighbor count exceeds the
-    cap, so a non-binding cap yields the same subgraph for every seed.
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of a uint64 array (wraps modulo 2**64)."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
+    """Bottom-k: an owner with more than `fanout` surviving edges keeps,
+    in row order, the `fanout` whose splitmix64 keys over (seed, relation,
+    owner, position in the surviving row) are smallest. So a sample is a
+    pure function of (seed, owner, relation, surviving row), and an owner
+    within the cap keeps every edge for every seed.
     """
-    if not np.any(counts > fanout):
+    over = counts > fanout
+    if not over.any():
         return np.repeat(owners_frontier, counts), nbrs, counts
-    chunks = []
+    n_over = counts[over]
+    group = np.repeat(np.arange(n_over.size), n_over)
+    # position in the owner's row, and each key's rank once sorted
+    pos = np.arange(group.size) - np.repeat(np.cumsum(n_over) - n_over, n_over)
+    base = _splitmix64(_splitmix64(np.array([seed], dtype=np.uint64))
+                       ^ np.uint64(relation))
+    owner_key = _splitmix64(base ^ owners_frontier[over].astype(np.uint64))
+    keys = _splitmix64(owner_key[group] + pos.astype(np.uint64) * _GOLDEN)
+    chosen = np.lexsort((keys, group))[pos < fanout]
+    keep = np.repeat(~over, counts)
+    keep[np.flatnonzero(~keep)[chosen]] = True
     new_counts = np.minimum(counts, fanout)
-    pos = 0
-    for cnt in counts:
-        chunk = nbrs[pos:pos + cnt]
-        pos += cnt
-        if cnt > fanout:
-            chunk = np.sort(rng.choice(chunk, size=fanout, replace=False))
-        chunks.append(chunk)
-    flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return np.repeat(owners_frontier, new_counts), flat, new_counts
+    return np.repeat(owners_frontier, new_counts), nbrs[keep], new_counts
 
 
 def _filter_removed(owners, nbrs, counts, removed):
@@ -456,12 +471,19 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
     node per relation. `removed_out`/`removed_in` are boolean masks over
     transactions whose edge in that direction is treated as absent
     before sampling.
+
+    A node's sample is a pure function of (`seed`, node, relation,
+    surviving edges) (see `_cap`), whatever else is sampled with it; so
+    severing equals rebuilding. `seed` is an int in [0, 2**64): training
+    draws one per step, inference passes `config.seed`.
     """
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
+        raise ConfigError(f"sampling seed must be an int in [0, 2**64), got {seed!r}")
     if fanout < 1:
         raise ConfigError(f"fanout must be >= 1, got {fanout}")
     if num_layers < 1:
         raise ConfigError(f"need at least one layer, got {num_layers}")
-    rng = as_rng(seed)
     c_cur = np.unique(np.asarray(seed_customers, dtype=np.int64))
     t_cur = np.unique(np.asarray(seed_txns, dtype=np.int64))
     if len(c_cur) and (c_cur[0] < 0 or c_cur[-1] >= g.n_customers):
@@ -478,12 +500,13 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
     for _ in range(num_layers):
         new_t_parts, new_c_parts = [], []
         if front_c.size:
-            for indptr, indices, removed, c_parts, t_parts in (
-                    (g.out_indptr, g.out_indices, removed_out, out_c_parts, out_t_parts),
-                    (g.in_indptr, g.in_indices, removed_in, in_c_parts, in_t_parts)):
+            for rel, indptr, indices, removed, c_parts, t_parts in (
+                    (OUT_REV, g.out_indptr, g.out_indices, removed_out, out_c_parts, out_t_parts),
+                    (IN_FWD, g.in_indptr, g.in_indices, removed_in, in_c_parts, in_t_parts)):
                 nbrs, counts = _flat_neighbors(indptr, indices, front_c)
                 nbrs, counts = _filter_removed(front_c, nbrs, counts, removed)
-                owners, nbrs, counts = _cap(front_c, nbrs, counts, fanout, rng)
+                owners, nbrs, counts = _cap(front_c, nbrs, counts, fanout, seed,
+                                            RELATIONS.index(rel))
                 c_parts.append(owners)
                 t_parts.append(nbrs)
                 new_t_parts.append(nbrs)
@@ -600,29 +623,12 @@ def stack_subgraphs(subs: Sequence[Subgraph]
 
 
 def full_subgraph(g: BipartiteGraph, num_layers: int) -> Subgraph:
-    """Every node at every level with every edge; no sampling, no fanout.
-
-    Local and global indices coincide, so one relation dict serves all
-    layers. Suits full-batch encoding of small and medium graphs.
-    """
-    if num_layers < 1:
-        raise ConfigError(f"need at least one layer, got {num_layers}")
-    all_c = np.arange(g.n_customers, dtype=np.int64)
-    all_t = np.arange(g.n_transactions, dtype=np.int64)
-    out_t = g.edges(OUTGOING)
-    in_t = g.edges(INCOMING)
-    rels = {
-        OUT_FWD: (g.o_src[out_t], out_t, out_t),
-        OUT_REV: (out_t, g.o_src[out_t], out_t),
-        IN_FWD: (in_t, g.i_dst[in_t], in_t),
-        IN_REV: (g.i_dst[in_t], in_t, in_t),
-    }
-    return Subgraph(num_layers,
-                    tuple([all_c] * (num_layers + 1)),
-                    tuple([all_t] * (num_layers + 1)),
-                    tuple([rels] * num_layers),
-                    tuple([all_c] * num_layers),
-                    tuple([all_t] * num_layers))
+    """Every node at every level with every edge, for full-batch encoding:
+    the sampler seeded with every node, at a cap no CSR row exceeds."""
+    cap = max(1, int(np.diff(g.out_indptr).max()), int(np.diff(g.in_indptr).max()))
+    return sample_neighborhood_nodes(g, np.arange(g.n_customers),
+                                     np.arange(g.n_transactions), cap,
+                                     num_layers, seed=0)
 
 
 # ---------------------------------------------------------------------------

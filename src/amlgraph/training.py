@@ -13,6 +13,11 @@ the counterpart customer's embedding from the reference graph alone.
 Records are sampled one by one and encoded in chunks, one encode over
 the block-diagonal union of a chunk's samples; each record's result is
 bit-identical to encoding its sample alone.
+
+A node's neighbor sample is a pure function of (seed, node, relation,
+surviving edges) (`graph.sample_neighborhood_nodes`). Each `train_step`
+draws one sampler seed from its rng; every inference path samples at
+`config.seed`, so no result depends on what else shares the call.
 """
 
 from __future__ import annotations
@@ -173,7 +178,7 @@ def message_graph(g: BipartiteGraph, split: EdgeSplit) -> BipartiteGraph:
 
 
 def _forward_pairs(params: ModelParams, msg_g: BipartiteGraph, direction: str,
-                   pos_c, pos_t, neg_c, neg_t, fanout: int, sample_rng,
+                   pos_c, pos_t, neg_c, neg_t, fanout: int, sample_seed: int,
                    training: bool, dropout_p: float, dropout_rng=None):
     """Sever, sample, encode, decode one batch of positives and negatives."""
     all_c = np.concatenate([pos_c, neg_c])
@@ -183,7 +188,7 @@ def _forward_pairs(params: ModelParams, msg_g: BipartiteGraph, direction: str,
     removed_out, removed_in = ((removed, None) if direction == OUTGOING
                                else (None, removed))
     sub = sample_neighborhood(msg_g, np.stack([all_c, all_t], axis=1),
-                              fanout, params.num_layers, sample_rng,
+                              fanout, params.num_layers, sample_seed,
                               removed_out=removed_out, removed_in=removed_in)
     z_c, z_t = encode(params, sub, msg_g.x_c, msg_g.x_t, training=training,
                       rng=dropout_rng, dropout_p=dropout_p)
@@ -199,7 +204,8 @@ def _forward_pairs(params: ModelParams, msg_g: BipartiteGraph, direction: str,
 def train_step(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
                split: EdgeSplit, config: TrainingConfig, direction: str,
                adam: AdamState, rng, batch: np.ndarray | None = None) -> float:
-    """One severed-link-prediction batch plus an Adam update; returns loss."""
+    """One severed-link-prediction batch plus an Adam update; returns loss.
+    The step's sampler seed is one draw from `rng`."""
     check_direction(direction)
     sup = split.supervision[direction]
     if sup.size == 0:
@@ -212,11 +218,12 @@ def train_step(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
     pos_c = g.edge_endpoints(direction)[pos_t]
     neg_c, neg_t = sample_negatives(g, pos_t.size * config.negatives,
                                     direction, rng)
+    sample_seed = int(rng.integers(2 ** 63))
 
     def loss_fn():
         y_pos, y_neg, _ = _forward_pairs(
             params, msg_g, direction, pos_c, pos_t, neg_c, neg_t,
-            config.fanout, rng, training=True, dropout_p=config.dropout,
+            config.fanout, sample_seed, training=True, dropout_p=config.dropout,
             dropout_rng=rng)
         return link_loss(y_pos, reshape(y_neg, (pos_t.size, config.negatives)))
 
@@ -236,7 +243,7 @@ def validation_loss(params: ModelParams, g: BipartiteGraph,
                     msg_g: BipartiteGraph, split: EdgeSplit,
                     config: TrainingConfig, val_negs: dict,
                     chunk: int = 2048) -> float:
-    """Deterministic held-out loss; the sampling seed is fixed per run."""
+    """Deterministic held-out loss, sampled at `config.seed`."""
     total, count = 0.0, 0
     for d in DIRECTIONS:
         val = split.validation[d]
@@ -247,11 +254,10 @@ def validation_loss(params: ModelParams, g: BipartiteGraph,
         for lo in range(0, val.size, chunk):
             hi = min(lo + chunk, val.size)
             nlo, nhi = lo * config.negatives, hi * config.negatives
-            rng = as_rng(np.random.SeedSequence([config.seed, 3]))
             y_pos, y_neg, _ = _forward_pairs(
                 params, msg_g, d, pos_c_all[lo:hi], val[lo:hi],
                 neg_c_all[nlo:nhi], neg_t_all[nlo:nhi],
-                config.fanout, rng, training=False, dropout_p=0.0)
+                config.fanout, config.seed, training=False, dropout_p=0.0)
             loss = link_loss(y_pos, reshape(y_neg, (hi - lo, config.negatives)))
             total += float(loss.data) * (hi - lo)
             count += hi - lo
@@ -347,9 +353,8 @@ def predict_pairs(params: ModelParams, msg_g: BipartiteGraph,
             part = sel[lo:lo + chunk]
             cs = np.array([rows[i][1] for i in part], dtype=np.int64)
             ts = np.array([rows[i][2] for i in part], dtype=np.int64)
-            rng = as_rng(np.random.SeedSequence([config.seed, 5, lo]))
             y, _, _ = _forward_pairs(params, msg_g, d, cs, ts, no_negatives,
-                                     no_negatives, config.fanout, rng,
+                                     no_negatives, config.fanout, config.seed,
                                      training=False, dropout_p=0.0)
             out[part] = y.data[:, 0]
     return out
@@ -381,23 +386,6 @@ class AnomalyResult:
     cold_start: bool
 
 
-def _reference_embeddings(params: ModelParams, g: BipartiteGraph,
-                          customers: np.ndarray, seed: int, fanout: int,
-                          chunk: int = 512) -> dict[int, np.ndarray]:
-    """Final-layer customer embeddings over the reference graph."""
-    out = {}
-    for lo in range(0, customers.size, chunk):
-        part = customers[lo:lo + chunk]
-        rng = as_rng(np.random.SeedSequence([seed, 6, lo]))
-        sub = sample_neighborhood_nodes(g, part, [], fanout,
-                                        params.num_layers, rng)
-        z_c, _ = encode(params, sub, g.x_c, g.x_t)
-        pos = sub.seed_positions_c(part)
-        for c, row in zip(part, z_c.data[pos]):
-            out[int(c)] = row
-    return out
-
-
 def score_transactions(params: ModelParams, g: BipartiteGraph,
                        new_transactions: list[RawTransaction],
                        config: TrainingConfig) -> list[AnomalyResult]:
@@ -406,11 +394,12 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     Transactions are scored independently: the scored transaction is
     attached by its counterpart (non-predicted) edge only, other new
     transactions stay invisible, and the customer side of the decoder
-    comes from the reference graph without any new transaction. Records
-    are sampled one by one and encoded in chunks, one encode over the
-    block-diagonal union of a chunk's samples; the encoder's products are
-    row-exact, so each record's result is bit-identical to encoding its
-    sample alone.
+    comes from the reference graph without any new transaction. Every
+    sample is drawn at `config.seed` and is a function of the node and its
+    surviving edges alone. Records are sampled one by one and encoded in
+    chunks, one encode over the block-diagonal union of a chunk's samples;
+    the encoder's products are row-exact, so each record's result is
+    bit-identical to scoring its transaction alone, in any batch or order.
     """
     if not new_transactions:
         return []
@@ -420,10 +409,13 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     removed_out[g.n_transactions:] = True
     removed_in = removed_out.copy()
 
-    needed = sorted({i for info in infos for i in (info.src_index, info.dst_index)
-                     if i is not None})
-    ref = _reference_embeddings(params, g, np.asarray(needed, dtype=np.int64),
-                                config.seed, config.fanout)
+    # the decoder's customer side: final-layer embeddings over the reference graph
+    needed = np.array(sorted({i for info in infos for i in (info.src_index, info.dst_index)
+                              if i is not None}), dtype=np.int64)
+    ref_sub = sample_neighborhood_nodes(g, needed, [], config.fanout,
+                                        params.num_layers, config.seed)
+    z_ref, _ = encode(params, ref_sub, g.x_c, g.x_t)
+    ref = dict(zip(needed.tolist(), z_ref.data[ref_sub.seed_positions_c(needed)]))
     # (txn info, direction, customer id, customer index or None when cold)
     records = []
     for info in infos:
@@ -446,11 +438,9 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
             # expose only the scored transaction's counterpart edge
             counterpart = removed_in if direction == OUTGOING else removed_out
             counterpart[info.txn_index] = False
-            rng = as_rng(np.random.SeedSequence(
-                [config.seed, 7, info.txn_index, 0 if direction == OUTGOING else 1]))
             sub = sample_neighborhood_nodes(
                 ext_g, [], [info.txn_index], config.fanout, params.num_layers,
-                rng, removed_out=removed_out, removed_in=removed_in)
+                config.seed, removed_out=removed_out, removed_in=removed_in)
             counterpart[info.txn_index] = True
             n = len(sub.levels_c[-1]) + len(sub.levels_t[-1])
             if ks and rows + n > _SCORE_CHUNK_ROWS:

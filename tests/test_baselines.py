@@ -40,29 +40,67 @@ def small_tc(**over):
     return tr.TrainingConfig(**base)
 
 
+def edge_list_subgraph(g, num_layers):
+    """Every node and edge, built straight from o_src/i_dst (oracle)."""
+    all_c = np.arange(g.n_customers, dtype=np.int64)
+    all_t = np.arange(g.n_transactions, dtype=np.int64)
+    out_t, in_t = g.edges(gr.OUTGOING), g.edges(gr.INCOMING)
+    rels = {gr.OUT_FWD: (g.o_src[out_t], out_t, out_t),
+            gr.OUT_REV: (out_t, g.o_src[out_t], out_t),
+            gr.IN_FWD: (in_t, g.i_dst[in_t], in_t),
+            gr.IN_REV: (g.i_dst[in_t], in_t, in_t)}
+    return gr.Subgraph(num_layers, (all_c,) * (num_layers + 1),
+                       (all_t,) * (num_layers + 1), (rels,) * num_layers,
+                       (all_c,) * num_layers, (all_t,) * num_layers)
+
+
 class TestFullSubgraph:
     def test_relation_edge_counts(self):
+        """Each relation of each layer holds exactly the graph's edges of
+        its direction, with the endpoints o_src/i_dst name."""
         g = community_graph(external_every=5)
         sub = gr.full_subgraph(g, 2)
-        n_out, n_in = g.edges(gr.OUTGOING).size, g.edges(gr.INCOMING).size
-        for layer in sub.layers:
-            assert layer[gr.OUT_FWD][2].size == n_out
-            assert layer[gr.OUT_REV][2].size == n_out
-            assert layer[gr.IN_FWD][2].size == n_in
-            assert layer[gr.IN_REV][2].size == n_in
+        expect = {gr.OUT_FWD: ("c", "t", g.o_src), gr.OUT_REV: ("t", "c", g.o_src),
+                  gr.IN_FWD: ("t", "c", g.i_dst), gr.IN_REV: ("c", "t", g.i_dst)}
+        levels = {"c": sub.levels_c, "t": sub.levels_t}
+        for h, layer in enumerate(sub.layers):
+            for rel, (src_tau, dst_tau, ends) in expect.items():
+                src, dst, etxn = layer[rel]
+                src_ids = levels[src_tau][sub.depth - h][src]
+                dst_ids = levels[dst_tau][sub.depth - h - 1][dst]
+                cust, txn = (src_ids, dst_ids) if src_tau == "c" else (dst_ids, src_ids)
+                np.testing.assert_array_equal(txn, etxn)
+                real = np.flatnonzero(ends >= 0)
+                assert sorted(zip(etxn.tolist(), cust.tolist())) == \
+                    list(zip(real.tolist(), ends[real].tolist()))
 
     def test_encode_matches_exhaustive_sampling(self):
-        g = community_graph()
-        params = init_params("gat", g.d_customer, g.d_transaction, 2, 8, 2)
-        full = gr.full_subgraph(g, 2)
-        sampled = gr.sample_neighborhood_nodes(
-            g, np.arange(g.n_customers), np.arange(g.n_transactions),
-            10 ** 6, 2, seed=0)
+        """The sampler at a cap no row exceeds encodes bit-identically to a
+        subgraph built straight from the edge lists, forward and backward,
+        for every encoder at 1-3 layers."""
+        g = community_graph(external_every=5)
+        for kind in ("gat", "sage", "gin"):
+            for layers in (1, 2, 3):
+                params = init_params(kind, g.d_customer, g.d_transaction, layers,
+                                     8, 2 if kind == "gat" else 1, seed=layers)
+                runs = [self._forward_backward(params, g, sub) for sub in
+                        (gr.full_subgraph(g, layers), edge_list_subgraph(g, layers))]
+                assert any(a is not None for a in runs[0][2:])   # backward ran
+                for a, b in zip(*runs):
+                    np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def _forward_backward(params, g, sub):
+        """Embeddings, then the gradient of every parameter of their mean."""
         from amlgraph.model import encode
-        za, zb = encode(params, full, g.x_c, g.x_t)
-        sa, sb = encode(params, sampled, g.x_c, g.x_t)
-        assert np.allclose(za.data, sa.data, atol=1e-9)
-        assert np.allclose(zb.data, sb.data, atol=1e-9)
+        nd.zero_grad(params.parameters())
+        with nd.Tape() as tape:
+            z_c, z_t = encode(params, sub, g.x_c, g.x_t, training=True,
+                              rng=np.random.default_rng(0))
+            loss = nd.mean_rows(nd.transpose2d(
+                nd.add(nd.mean_rows(z_c), nd.mean_rows(z_t))))
+        tape.backward(loss)
+        return [z_c.data, z_t.data] + [p.grad for p in params.parameters()]
 
 
 class TestMlpForward:

@@ -300,6 +300,54 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
 
+    @staticmethod
+    def _two_snapshots(tmp_path):
+        """c0's two embeddings have cosine similarity 1/sqrt(1.25) ~ 0.894."""
+        paths = []
+        for name, vec in (("a.tsv", "1.0\t0.0"), ("b.tsv", "1.0\t0.5")):
+            path = tmp_path / name
+            path.write_text(f"node_type\tnode_id\tv0\tv1\ncustomer\tc0\t{vec}\n")
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("command,body,flags", [
+        ("embed", {"layer": 0, "bogus": 1}, []),
+        ("embed", {"layer": "last"}, []),
+        ("diverge", {"threshold": 0.99, "bogus": 1}, []),
+        ("diverge", {"threshold": "x"}, []),
+        ("diverge", {}, ["--threshold", "nan"])],
+        ids=["embed-unknown-key", "embed-string-layer", "diverge-unknown-key",
+             "diverge-string-threshold", "diverge-nan-flag"])
+    def test_bad_embed_diverge_config_is_1(self, pipeline, tmp_path, capsys,
+                                           command, body, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        out = tmp_path / "out.tsv"
+        inputs = (["--graph", pipeline["graph"], "--model", pipeline["model"]]
+                  if command == "embed"
+                  else ["--embeddings", *self._two_snapshots(tmp_path)])
+        assert run(command, *inputs, "--out", str(out), "--config", str(cfg),
+                   *flags) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_config_threshold_applied(self, tmp_path):
+        emb = self._two_snapshots(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 0.95}))
+        flagged = {}
+        for name, extra in (("default", []), ("config", ["--config", str(cfg)]),
+                            ("flag", ["--config", str(cfg), "--threshold", "0.5"])):
+            out = tmp_path / f"{name}.jsonl"
+            assert run("diverge", "--embeddings", *emb, "--out", str(out),
+                       *extra) == 0
+            flagged[name] = json.loads(out.read_text())["diverging"]
+            manifest = json.load(open(str(out) + ".manifest.json"))
+            flagged[name + "_threshold"] = manifest["config"]["threshold"]
+        assert flagged == {"default": False, "default_threshold": 0.8,
+                           "config": True, "config_threshold": 0.95,
+                           "flag": False, "flag_threshold": 0.5}
+
     def test_config_error_is_1(self, tmp_path):
         assert run("gen-data", "--out-dir", str(tmp_path / "d"),
                    "--n-customers", "1") == 1

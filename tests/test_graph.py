@@ -278,6 +278,87 @@ class TestNeighborhood:
         assert len(sub.levels_t[1]) == 32
         assert len(np.unique(sub.levels_t[1])) == 32
 
+    def test_cap_keeps_each_edge_uniformly(self):
+        """Over 2000 seeds, each of a degree-100 owner's edges is kept at
+        fanout 10 with frequency 0.1 +- 0.03 (about 4.5 standard errors)."""
+        rng = np.random.default_rng(9)
+        profiles = [gr.CustomerProfile("hub", rng.normal(size=2))]
+        txns = [gr.RawTransaction(f"t{j:03d}", "hub", "EXTERNAL", float(j),
+                                  rng.normal(size=2)) for j in range(100)]
+        g = gr.build_graph(txns, profiles)
+        kept = np.zeros(g.n_transactions)
+        for seed in range(2000):
+            sub = gr.sample_neighborhood_nodes(g, [0], [], fanout=10,
+                                               num_layers=1, seed=seed)
+            assert len(sub.levels_t[1]) == 10
+            kept[sub.levels_t[1]] += 1
+        freq = kept / 2000
+        assert np.all(np.abs(freq - 0.1) <= 0.03), (freq.min(), freq.max())
+
+    @given(counts=st.lists(st.integers(0, 12), max_size=8),
+           fanout=st.integers(1, 5), seed=st.integers(0, 2 ** 64 - 1),
+           relation=st.integers(0, 3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cap_matches_reference_loop(self, counts, fanout, seed, relation,
+                                        data):
+        """The vectorized bottom-k equals a per-owner loop over Python ints."""
+        mask = (1 << 64) - 1
+
+        def splitmix64(x):
+            x = (x + 0x9E3779B97F4A7C15) & mask
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+            return x ^ (x >> 31)
+
+        owners = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=len(counts),
+                                    max_size=len(counts), unique=True))
+        nbrs = np.arange(sum(counts), dtype=np.int64) * 3
+        want_owners, want_nbrs, start = [], [], 0
+        for owner, count in zip(owners, counts):
+            row = nbrs[start:start + count].tolist()
+            start += count
+            if count > fanout:
+                h = splitmix64(splitmix64(splitmix64(seed) ^ relation) ^ owner)
+                keys = [splitmix64((h + i * 0x9E3779B97F4A7C15) & mask)
+                        for i in range(count)]
+                ranked = sorted(range(count), key=lambda i: (keys[i], i))
+                row = [row[i] for i in sorted(ranked[:fanout])]
+            want_owners += [owner] * len(row)
+            want_nbrs += row
+        got_owners, got_nbrs, got_counts = gr._cap(
+            np.array(owners, dtype=np.int64), nbrs,
+            np.array(counts, dtype=np.int64), fanout, seed, relation)
+        assert got_owners.tolist() == want_owners
+        assert got_nbrs.tolist() == want_nbrs
+        assert got_counts.tolist() == [min(c, fanout) for c in counts]
+
+    @pytest.mark.parametrize("seed", [-1, np.random.default_rng(0), 2 ** 64,
+                                      1.0, True, None],
+                             ids=["negative", "generator", "too-large", "float",
+                                  "bool", "none"])
+    def test_seed_must_be_non_negative_int(self, seed):
+        g = toy_graph()
+        with pytest.raises(ConfigError):
+            gr.sample_neighborhood_nodes(g, [0], [], fanout=2, num_layers=1,
+                                         seed=seed)
+
+    def test_sample_independent_of_other_seeds(self):
+        """A node's sample is a function of the node: sampling it with other
+        seed nodes adds their samples, and drops none of its own edges."""
+        rng = np.random.default_rng(17)
+        txns, profiles = random_records(rng, n_c=6, n_t=120)
+        g = gr.build_graph(txns, profiles)
+        assert np.diff(g.out_indptr).max() > 3   # the cap truncates
+        alone = gr.sample_neighborhood_nodes(g, [2], [], fanout=3, num_layers=1,
+                                             seed=5)
+        together = gr.sample_neighborhood_nodes(g, [0, 2, 5], [], fanout=3,
+                                                num_layers=1, seed=5)
+        pos = int(np.searchsorted(together.levels_c[0], 2))
+        for rel in (gr.OUT_REV, gr.IN_FWD):
+            own = together.layers[0][rel][1] == pos
+            np.testing.assert_array_equal(together.layers[0][rel][2][own],
+                                          alone.layers[0][rel][2])
+
     def test_subset_of_true_neighborhood(self):
         rng = np.random.default_rng(10)
         txns, profiles = random_records(rng, n_c=10, n_t=60)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amlgraph.graph as gr
 import amlgraph.model as md
@@ -136,7 +138,7 @@ class TestMessageGraph:
         pos_c = g.o_src[batch]
         neg_c, neg_t = gr.sample_negatives(g, 8, gr.OUTGOING, rng)
         _, _, sub = tr._forward_pairs(params, msg, gr.OUTGOING, pos_c, batch,
-                                      neg_c, neg_t, 8, rng,
+                                      neg_c, neg_t, 8, 0,
                                       training=False, dropout_p=0.0)
         severed = set(batch.tolist()) | set(neg_t.tolist())
         for layer in sub.layers:
@@ -367,15 +369,29 @@ class TestScoring:
         assert out.cold_start and out.y_hat is None and out.anomaly_score is None
         assert not inc.cold_start and inc.y_hat is not None
 
-    def test_transactions_scored_independently(self, trained):
+    @given(data_seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 8),
+           sample_seed=st.integers(0, 2 ** 63), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_transactions_scored_independently(self, trained, data_seed, size,
+                                               sample_seed, data):
+        """Each record of a batch, in any order, has the bits it has when
+        its transaction is scored alone, at a fanout that truncates."""
         g, params, cfg = trained
-        a = gr.RawTransaction("n0", "c000", "c001", 999.0, [0.1, 0.2, 0.3])
-        b = gr.RawTransaction("n1", "c000", "c003", 999.0, [0.4, 0.5, 0.6])
-        alone = tr.score_transactions(params, g, [a], cfg)
-        together = [r for r in tr.score_transactions(params, g, [a, b], cfg)
-                    if r.txn_id == "n0"]
-        assert [(r.direction, r.y_hat) for r in alone] == \
-               [(r.direction, r.y_hat) for r in together]
+        cfg = dataclasses.replace(cfg, fanout=2, seed=sample_seed)
+        # most customers have more edges than the cap on both sides
+        for indptr in (g.out_indptr, g.in_indptr):
+            assert np.mean(np.diff(indptr) > cfg.fanout) > 0.5
+        rng = np.random.default_rng(data_seed)
+        ends = [f"c{i:03d}" for i in range(24)] + [gr.EXTERNAL, "ghost"]
+        new = []
+        for j in range(size):
+            src, dst = rng.choice(len(ends), size=2, replace=False)
+            new.append(gr.RawTransaction(f"n{j}", ends[src], ends[dst], 999.0,
+                                         rng.normal(size=3)))
+        batch = [new[i] for i in data.draw(st.permutations(range(size)))]
+        together = tr.score_transactions(params, g, batch, cfg)
+        alone = [r for t in batch for r in tr.score_transactions(params, g, [t], cfg)]
+        assert together == alone
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_chunking_changes_no_bit(self, trained, monkeypatch, wide):
