@@ -202,8 +202,8 @@ def _discriminate(z: Tensor, w_disc: Tensor, summary: Tensor) -> Tensor:
     return sigmoid(matmul(matmul(z, w_disc), transpose2d(summary)))
 
 
-def dgi_pretrain(g: BipartiteGraph, config: TrainingConfig,
-                 num_epochs: int | None = None) -> tuple[ModelParams, list[dict]]:
+def dgi_pretrain(g: BipartiteGraph, config: TrainingConfig
+                 ) -> tuple[ModelParams, list[dict]]:
     """Contrastive pretraining of the encoder on the full graph.
 
     Each epoch encodes the true features and a row-shuffled corruption,
@@ -220,7 +220,6 @@ def dgi_pretrain(g: BipartiteGraph, config: TrainingConfig,
     sub = full_subgraph(g, config.num_layers)
     tensors = params.parameters() + [w_disc]
     adam = AdamState(tensors)
-    max_epochs = num_epochs if num_epochs is not None else config.max_epochs
 
     def contrastive_loss():
         z_c, z_t = encode(params, sub, g.x_c, g.x_t, training=True,
@@ -238,7 +237,7 @@ def dgi_pretrain(g: BipartiteGraph, config: TrainingConfig,
         value = descend(tensors, adam, config.learning_rate, contrastive_loss)
         return {"epoch": epoch, "train_loss": value}, value
 
-    return run_epochs(max_epochs, config.patience, train_epoch, params.copy)
+    return run_epochs(config.max_epochs, config.patience, train_epoch, params.copy)
 
 
 def dgi_embeddings(params: ModelParams, g: BipartiteGraph

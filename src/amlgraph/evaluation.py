@@ -19,7 +19,7 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise MetricError("no examples")
     if not np.all(np.isfinite(scores)):
         raise MetricError("scores must be finite")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise MetricError("labels must be 0 or 1")
     labels = labels.astype(np.int64)
     if labels.min() == labels.max():

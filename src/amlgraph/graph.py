@@ -375,25 +375,22 @@ def sample_negatives(g: BipartiteGraph, count: int, direction: str, seed
 
 @dataclass(frozen=True)
 class Subgraph:
-    """Layered sample around seed nodes.
+    """Layered sample around seed nodes, one row per sampled node.
 
-    ``levels_c[h]``/``levels_t[h]`` hold the sorted global node ids known
-    after h expansion hops (level sets are nested; level 0 is the seeds).
-    ``layers[i]`` maps each relation to localized edge arrays
-    (src_local, dst_local, edge_txn) where layer i reads node level
-    depth-i and writes node level depth-i-1; src_local indexes the input
-    level of the source type, dst_local the output level of the
-    destination type, and edge_txn is the global transaction index (the
-    edge id). ``self_c[i]``/``self_t[i]`` locate each output node inside
-    the input level for self/skip terms. A union made by `stack_subgraphs`
-    concatenates its parts' levels, so its levels are not sorted.
+    ``levels_c[h]``/``levels_t[h]`` hold the global ids of the nodes known
+    after h hops. Each level is a prefix of the next (level 0 is the sorted
+    seeds, then each hop's newly reached nodes, sorted), so a node keeps
+    its row in every level. ``layers[i]`` maps each relation to (src, dst,
+    edge_txn): layer i reads level depth-i and writes level depth-i-1, src
+    and dst are rows of the source and destination type, and edge_txn is
+    the global transaction index (the edge id). Output row r of a layer is
+    its input row r. Layer i's arrays are a prefix of layer i-1's: the
+    edges found at hops 0..depth-i-1, in the order found.
     """
     depth: int
     levels_c: tuple
     levels_t: tuple
     layers: tuple
-    self_c: tuple
-    self_t: tuple
 
     def seed_positions_c(self, customers) -> np.ndarray:
         return np.searchsorted(self.levels_c[0], np.asarray(customers, dtype=np.int64))
@@ -449,7 +446,7 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     return np.repeat(owners_frontier, new_counts), nbrs[keep], new_counts
 
 
-def _filter_removed(owners, nbrs, counts, removed):
+def _filter_removed(nbrs, counts, removed):
     if removed is None:
         return nbrs, counts
     keep = ~removed[nbrs]
@@ -458,6 +455,22 @@ def _filter_removed(owners, nbrs, counts, removed):
     owner_pos = np.repeat(np.arange(len(counts)), counts)
     new_counts = np.bincount(owner_pos[keep], minlength=len(counts))
     return nbrs[keep], new_counts
+
+
+# (source, destination) node type of each relation
+_REL_ENDS = {OUT_FWD: ("c", "t"), OUT_REV: ("t", "c"),
+             IN_FWD: ("t", "c"), IN_REV: ("c", "t")}
+
+
+def _grow(rows, blocks, reached):
+    """Append to `blocks` the sorted ids in `reached` without a row yet
+    (-1 in `rows`), giving them the next rows; returns them."""
+    reached = np.concatenate(reached)
+    new = np.unique(reached[rows[reached] < 0])
+    n = sum(map(len, blocks))
+    rows[new] = np.arange(n, n + len(new))
+    blocks.append(new)
+    return new
 
 
 def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
@@ -470,7 +483,8 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
     first expanded) and reused by every layer, capped at `fanout` per
     node per relation. `removed_out`/`removed_in` are boolean masks over
     transactions whose edge in that direction is treated as absent
-    before sampling.
+    before sampling. Each hop appends the nodes it reaches first to the
+    levels, and each edge is localized once (see `Subgraph`).
 
     A node's sample is a pure function of (`seed`, node, relation,
     surviving edges) (see `_cap`), whatever else is sampled with it; so
@@ -484,79 +498,56 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
         raise ConfigError(f"fanout must be >= 1, got {fanout}")
     if num_layers < 1:
         raise ConfigError(f"need at least one layer, got {num_layers}")
-    c_cur = np.unique(np.asarray(seed_customers, dtype=np.int64))
-    t_cur = np.unique(np.asarray(seed_txns, dtype=np.int64))
-    if len(c_cur) and (c_cur[0] < 0 or c_cur[-1] >= g.n_customers):
+    seeds_c = np.asarray(seed_customers, dtype=np.int64).ravel()
+    seeds_t = np.asarray(seed_txns, dtype=np.int64).ravel()
+    if len(seeds_c) and (seeds_c.min() < 0 or seeds_c.max() >= g.n_customers):
         raise ConfigError("seed customer index out of range")
-    if len(t_cur) and (t_cur[0] < 0 or t_cur[-1] >= g.n_transactions):
+    if len(seeds_t) and (seeds_t.min() < 0 or seeds_t.max() >= g.n_transactions):
         raise ConfigError("seed transaction index out of range")
-
-    levels_c, levels_t = [c_cur], [t_cur]
-    front_c, front_t = c_cur, t_cur
-    # sampled edges discovered from the customer side, one batch per hop
-    out_c_parts, out_t_parts = [], []
-    in_c_parts, in_t_parts = [], []
+    row_c = np.full(g.n_customers, -1, dtype=np.int64)
+    row_t = np.full(g.n_transactions, -1, dtype=np.int64)
+    blocks_c, blocks_t = [], []
+    front_c = _grow(row_c, blocks_c, [seeds_c])
+    front_t = _grow(row_t, blocks_t, [seeds_t])
+    # per relation, the (customer ids, transaction ids) of each hop's edges
+    found = {rel: [] for rel in RELATIONS}
 
     for _ in range(num_layers):
-        new_t_parts, new_c_parts = [], []
-        if front_c.size:
-            for rel, indptr, indices, removed, c_parts, t_parts in (
-                    (OUT_REV, g.out_indptr, g.out_indices, removed_out, out_c_parts, out_t_parts),
-                    (IN_FWD, g.in_indptr, g.in_indices, removed_in, in_c_parts, in_t_parts)):
-                nbrs, counts = _flat_neighbors(indptr, indices, front_c)
-                nbrs, counts = _filter_removed(front_c, nbrs, counts, removed)
-                owners, nbrs, counts = _cap(front_c, nbrs, counts, fanout, seed,
-                                            RELATIONS.index(rel))
-                c_parts.append(owners)
-                t_parts.append(nbrs)
-                new_t_parts.append(nbrs)
-        if front_t.size:
-            for ends, removed in ((g.o_src, removed_out), (g.i_dst, removed_in)):
-                vals = ends[front_t]
-                keep = vals >= 0
-                if removed is not None:
-                    keep &= ~removed[front_t]
-                new_c_parts.append(vals[keep])
-        new_c = np.unique(np.concatenate(new_c_parts)) if new_c_parts else np.empty(0, np.int64)
-        new_t = np.unique(np.concatenate(new_t_parts)) if new_t_parts else np.empty(0, np.int64)
-        next_c = np.union1d(c_cur, new_c)
-        next_t = np.union1d(t_cur, new_t)
-        front_c = np.setdiff1d(new_c, c_cur, assume_unique=True)
-        front_t = np.setdiff1d(new_t, t_cur, assume_unique=True)
-        c_cur, t_cur = next_c, next_t
-        levels_c.append(c_cur)
-        levels_t.append(t_cur)
-
-    out_c = np.concatenate(out_c_parts) if out_c_parts else np.empty(0, np.int64)
-    out_t = np.concatenate(out_t_parts) if out_t_parts else np.empty(0, np.int64)
-    in_c = np.concatenate(in_c_parts) if in_c_parts else np.empty(0, np.int64)
-    in_t = np.concatenate(in_t_parts) if in_t_parts else np.empty(0, np.int64)
-
-    layers, self_c, self_t = [], [], []
-    for h in range(num_layers - 1, -1, -1):
-        c_out, t_out = levels_c[h], levels_t[h]
-        c_in, t_in = levels_c[h + 1], levels_t[h + 1]
-        rels = {}
-        for rel, e_c, e_t in ((OUT_REV, out_c, out_t), (IN_FWD, in_c, in_t)):
-            m = np.isin(e_c, c_out)
-            rels[rel] = (np.searchsorted(t_in, e_t[m]),
-                         np.searchsorted(c_out, e_c[m]),
-                         e_t[m])
+        for rel, indptr, indices, removed in (
+                (OUT_REV, g.out_indptr, g.out_indices, removed_out),
+                (IN_FWD, g.in_indptr, g.in_indices, removed_in)):
+            nbrs, counts = _flat_neighbors(indptr, indices, front_c)
+            nbrs, counts = _filter_removed(nbrs, counts, removed)
+            owners, nbrs, _ = _cap(front_c, nbrs, counts, fanout, seed,
+                                   RELATIONS.index(rel))
+            found[rel].append((owners, nbrs))
         for rel, ends, removed in ((OUT_FWD, g.o_src, removed_out),
                                    (IN_REV, g.i_dst, removed_in)):
-            keep = ends[t_out] >= 0
+            keep = ends[front_t] >= 0
             if removed is not None:
-                keep &= ~removed[t_out]
-            tt = t_out[keep]
-            rels[rel] = (np.searchsorted(c_in, ends[tt]),
-                         np.searchsorted(t_out, tt),
-                         tt)
-        layers.append(rels)
-        self_c.append(np.searchsorted(c_in, c_out))
-        self_t.append(np.searchsorted(t_in, t_out))
+                keep &= ~removed[front_t]
+            found[rel].append((ends[front_t[keep]], front_t[keep]))
+        front_t = _grow(row_t, blocks_t, [found[OUT_REV][-1][1], found[IN_FWD][-1][1]])
+        front_c = _grow(row_c, blocks_c, [found[OUT_FWD][-1][0], found[IN_REV][-1][0]])
 
-    return Subgraph(num_layers, tuple(levels_c), tuple(levels_t),
-                    tuple(layers), tuple(self_c), tuple(self_t))
+    edges = {}   # relation -> ((src, dst, edge_txn), edges up to each hop)
+    for rel, per_hop in found.items():
+        custs, txns = (np.concatenate(ids) for ids in zip(*per_hop))
+        rows = (row_t[txns], row_c[custs])
+        src, dst = rows if _REL_ENDS[rel][0] == "t" else rows[::-1]
+        edges[rel] = ((src, dst, txns), np.cumsum([len(t) for _, t in per_hop]))
+    nodes = [(np.concatenate(b), np.cumsum(list(map(len, b)))) for b in (blocks_c, blocks_t)]
+    return _subgraph(num_layers, *nodes, edges)
+
+
+def _subgraph(depth, nodes_c, nodes_t, edges) -> Subgraph:
+    """The Subgraph whose levels are prefixes of nodes_c = (ids, level
+    lengths) and nodes_t, and whose layer j holds each relation's edges
+    up to hop depth-1-j, from edges[rel] = (arrays, lengths up to each hop)."""
+    levels = [tuple(ids[:n] for n in ends) for ids, ends in (nodes_c, nodes_t)]
+    layers = tuple({rel: tuple(a[:ends[depth - 1 - j]] for a in arrays)
+                    for rel, (arrays, ends) in edges.items()} for j in range(depth))
+    return Subgraph(depth, *levels, layers)
 
 
 def sample_neighborhood(g: BipartiteGraph, seed_edges, fanout: int,
@@ -569,57 +560,60 @@ def sample_neighborhood(g: BipartiteGraph, seed_edges, fanout: int,
                                      num_layers, seed, removed_out, removed_in)
 
 
-# (source, destination) node type of each relation
-_REL_ENDS = {OUT_FWD: ("c", "t"), OUT_REV: ("t", "c"),
-             IN_FWD: ("t", "c"), IN_REV: ("c", "t")}
+def _hop_major(sizes: np.ndarray) -> tuple[list, np.ndarray]:
+    """Union positions of each part's entries, and the union's prefix
+    lengths, for a hop-major union of nested prefixes: sizes[i, k] is the
+    length of part i's prefix k, and the union lists every part's entries
+    of prefix k past prefix k-1, parts in order, before any of prefix k+1.
+    """
+    below = np.zeros_like(sizes)
+    below[:, 1:] = sizes[:, :-1]
+    blocks = sizes - below
+    shift = below.sum(axis=0) + np.cumsum(blocks, axis=0) - blocks - below
+    return ([np.arange(n) + np.repeat(sh, b)
+             for n, sh, b in zip(sizes[:, -1], shift, blocks)], sizes.sum(axis=0))
+
+
+def _place(arrays, positions, ends) -> np.ndarray:
+    out = np.empty(ends[-1], dtype=np.int64)
+    out[np.concatenate(positions)] = np.concatenate(arrays)
+    return out
 
 
 def stack_subgraphs(subs: Sequence[Subgraph]
                     ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
-    """Block-diagonal union of subgraphs of one depth, encoded in one pass.
+    """Block-diagonal union of samples of one depth, encoded in one pass.
 
-    Each level of the union is the concatenation of the parts' levels, and
-    each part's local edge and self indices are shifted by the rows of the
-    parts before it, so no edge joins two parts. The union's levels are
-    not sorted: its seed positions are part i's own `seed_positions_*`
-    plus its offset. Returns (union, (offsets_c, offsets_t)), where
-    offsets_c[i]/offsets_t[i] is the first level-0 customer/transaction
-    row of part i.
+    The union is hop-major: the parts' seeds, part by part, then each hop's
+    newly reached nodes, part by part, so its levels are again prefixes,
+    and its edges follow in the same order with each part's rows
+    renumbered. No edge joins two parts, and each destination keeps its
+    edges in order. The parts must be samples (`sample_neighborhood_nodes`).
+    Returns (union, (offsets_c, offsets_t)); the union's level 0 is not
+    sorted, and part i's seeds start at its rows offsets_c[i]/offsets_t[i].
     """
     if not subs:
         raise ConfigError("need at least one subgraph to stack")
     depth = subs[0].depth
     if any(s.depth != depth for s in subs):
         raise ConfigError("subgraphs to stack differ in depth")
-    sizes = {"c": np.array([[len(lv) for lv in s.levels_c] for s in subs]),
-             "t": np.array([[len(lv) for lv in s.levels_t] for s in subs])}
-    # offsets[tau][i, h]: rows of level h of type tau before part i
-    offsets = {tau: np.cumsum(n, axis=0) - n for tau, n in sizes.items()}
-
-    def cat(arrays, shift=None):
-        arrays = list(arrays)
-        out = np.concatenate(arrays)
-        if shift is not None:
-            out += np.repeat(shift, [len(x) for x in arrays])
-        return out
-
-    layers, self_c, self_t = [], [], []
-    for j in range(depth):
-        h_in, h_out = depth - j, depth - j - 1
-        rels = {}
-        for rel, (src_tau, dst_tau) in _REL_ENDS.items():
-            parts = [s.layers[j][rel] for s in subs]
-            rels[rel] = (cat((p[0] for p in parts), offsets[src_tau][:, h_in]),
-                         cat((p[1] for p in parts), offsets[dst_tau][:, h_out]),
-                         cat(p[2] for p in parts))
-        layers.append(rels)
-        self_c.append(cat((s.self_c[j] for s in subs), offsets["c"][:, h_in]))
-        self_t.append(cat((s.self_t[j] for s in subs), offsets["t"][:, h_in]))
-    union = Subgraph(depth,
-                     tuple(cat(s.levels_c[h] for s in subs) for h in range(depth + 1)),
-                     tuple(cat(s.levels_t[h] for s in subs) for h in range(depth + 1)),
-                     tuple(layers), tuple(self_c), tuple(self_t))
-    return union, (offsets["c"][:, 0], offsets["t"][:, 0])
+    rows, nodes, offsets = {}, {}, []
+    for tau in ("c", "t"):
+        parts = [s.levels_c if tau == "c" else s.levels_t for s in subs]
+        sizes = np.array([[len(level) for level in p] for p in parts])
+        rows[tau], ends = _hop_major(sizes)
+        nodes[tau] = (_place([p[-1] for p in parts], rows[tau], ends), ends)
+        offsets.append(np.cumsum(sizes[:, 0]) - sizes[:, 0])
+    edges = {}
+    for rel, (src_tau, dst_tau) in _REL_ENDS.items():
+        # a part's edges up to hop k are its layer depth-1-k
+        at, ends = _hop_major(np.array(
+            [[len(s.layers[depth - 1 - k][rel][2]) for k in range(depth)] for s in subs]))
+        parts = [s.layers[0][rel] for s in subs]
+        edges[rel] = ((_place([r[e[0]] for r, e in zip(rows[src_tau], parts)], at, ends),
+                       _place([r[e[1]] for r, e in zip(rows[dst_tau], parts)], at, ends),
+                       _place([e[2] for e in parts], at, ends)), ends)
+    return _subgraph(depth, nodes["c"], nodes["t"], edges), tuple(offsets)
 
 
 def full_subgraph(g: BipartiteGraph, num_layers: int) -> Subgraph:

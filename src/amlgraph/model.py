@@ -26,8 +26,9 @@ from .errors import ConfigError, DimensionError, IngestError
 from .graph import IN_FWD, IN_REV, OUT_FWD, OUT_REV, RELATIONS, Subgraph
 from .ndtensor import (BatchNormState, Tensor, add, batch_norm, bytes_left,
                        concat, dropout, gather_rows, hadamard, head_dot,
-                       head_scale, leaky_relu, matmul, read_array, relu,
-                       segment_softmax, segment_sum, sigmoid, write_array)
+                       head_scale, leaky_relu, matmul, prefix_rows,
+                       read_array, relu, segment_softmax, segment_sum,
+                       sigmoid, write_array)
 
 KINDS = ("gat", "sage", "gin")
 
@@ -144,12 +145,11 @@ def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
     return params
 
 
-def _gat_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
-              attention):
+def _gat_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
     """Attention-weighted aggregation over both relations into `dest`;
     stores each relation's coefficients in `attention` (see `encode`)."""
     heads = params.heads
-    h_self = matmul(z_self, p[f"w_self_{dest}"])
+    h_self = matmul(prefix_rows(z_self, n_out), p[f"w_self_{dest}"])
     agg = None
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
@@ -157,25 +157,20 @@ def _gat_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
         h_src = matmul(z_src, p[f"w_{rel}"])
         s_src = head_dot(h_src, a_src, heads)
         s_dst = head_dot(h_self, p[f"a_dst_{rel}"], heads)
-        s_self_src = head_dot(h_self, a_src, heads)
-        edge_logits = leaky_relu(add(gather_rows(s_dst, self_idx[dst]),
-                                     gather_rows(s_src, src)))
-        self_logits = leaky_relu(add(gather_rows(s_dst, self_idx),
-                                     gather_rows(s_self_src, self_idx)))
+        edge_logits = leaky_relu(add(gather_rows(s_dst, dst), gather_rows(s_src, src)))
+        self_logits = leaky_relu(add(s_dst, head_dot(h_self, a_src, heads)))
         logits = concat([edge_logits, self_logits], axis=0)
         segments = np.concatenate([dst, np.arange(n_out, dtype=np.int64)])
         alpha = segment_softmax(logits, segments, n_out)
         attention[rel] = (alpha.data[:len(dst)], alpha.data[len(dst):], dst)
-        values = concat([gather_rows(h_src, src),
-                         gather_rows(h_self, self_idx)], axis=0)
+        values = concat([gather_rows(h_src, src), h_self], axis=0)
         contrib = segment_sum(head_scale(values, alpha), segments, n_out)
         agg = contrib if agg is None else add(agg, contrib)
     return agg
 
 
-def _sage_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
-               attention):
-    out = gather_rows(matmul(z_self, p[f"w_self_{dest}"]), self_idx)
+def _sage_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
+    out = matmul(prefix_rows(z_self, n_out), p[f"w_self_{dest}"])
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
         total = segment_sum(gather_rows(z_src, src), dst, n_out)
@@ -185,9 +180,8 @@ def _sage_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
     return out
 
 
-def _gin_dest(params, p, dest: str, edges, self_idx, z_src, z_self, n_out,
-              attention):
-    pre = gather_rows(matmul(z_self, p[f"w_proj_self_{dest}"]), self_idx)
+def _gin_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
+    pre = matmul(prefix_rows(z_self, n_out), p[f"w_proj_self_{dest}"])
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
         pre = add(pre, segment_sum(gather_rows(matmul(z_src, p[f"w_proj_{rel}"]), src),
@@ -208,6 +202,8 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
     Inputs to the first layer are the (standardized) raw features of the
     deepest required level; outputs are final-layer embeddings for the
     level-0 nodes of each type, rows following the sorted seed arrays.
+    A layer's output rows are the first rows of its input (see
+    `Subgraph`), so each self term reads `z[:n_out]`.
     `capture`, when a list, receives one (c_ids, z_c, t_ids, z_t,
     attention) numpy snapshot per layer. attention is empty for sage and
     gin; for gat attention[relation] = (edge_alpha, self_alpha, edge_dst):
@@ -231,10 +227,8 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
         n_t_out = len(sub.levels_t[out_level])
         p = params.layers[i]
         attention: dict = {}
-        new_c = dest_fn(params, p, "c", edges, sub.self_c[j], z_t, z_c, n_c_out,
-                        attention)
-        new_t = dest_fn(params, p, "t", edges, sub.self_t[j], z_c, z_t, n_t_out,
-                        attention)
+        new_c = dest_fn(params, p, "c", edges, z_t, z_c, n_c_out, attention)
+        new_t = dest_fn(params, p, "t", edges, z_c, z_t, n_t_out, attention)
         if i < L - 1:
             site = params.bn[i]
             new_c = relu(new_c)

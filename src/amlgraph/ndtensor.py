@@ -99,9 +99,11 @@ class Tape:
             if g is None:
                 continue
             in_grads = backward(g)
-            for t, gi in zip(inputs, in_grads):
+            for k, (t, gi) in enumerate(zip(inputs, in_grads)):
                 if gi is None or not t.requires_grad:
                     continue
+                if any(gi is other for other in in_grads[:k]):
+                    gi = gi.copy()   # e.g. add's; accumulation below is in place
                 if id(t) in grads:
                     grads[id(t)] += gi
                 elif id(t) in produced:
@@ -370,6 +372,16 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         return (_scatter_add(g, idx, x.shape[0]),)
+
+    return _maybe_record(out, (x,), backward)
+
+
+def prefix_rows(x: Tensor, n: int) -> Tensor:
+    """The first n rows of x (a view); backward pads with zero rows."""
+    out = Tensor(x.data[:n], x.requires_grad)
+
+    def backward(g):
+        return (np.concatenate([g, np.zeros((len(x.data) - len(g),) + g.shape[1:])]),)
 
     return _maybe_record(out, (x,), backward)
 

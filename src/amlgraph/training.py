@@ -43,6 +43,7 @@ ADAM_EPS = 1e-8
 # sampled input rows of one scoring encode: about 150 records at 2 layers,
 # which amortizes per-op overhead, and about 1 MB per array at any depth
 _SCORE_CHUNK_ROWS = 1 << 12
+_PAIR_CHUNK = 2048   # pairs `validation_loss`/`predict_pairs` encode at once
 
 
 @dataclass
@@ -241,8 +242,7 @@ def _validation_negatives(g, split, config):
 
 def validation_loss(params: ModelParams, g: BipartiteGraph,
                     msg_g: BipartiteGraph, split: EdgeSplit,
-                    config: TrainingConfig, val_negs: dict,
-                    chunk: int = 2048) -> float:
+                    config: TrainingConfig, val_negs: dict) -> float:
     """Deterministic held-out loss, sampled at `config.seed`."""
     total, count = 0.0, 0
     for d in DIRECTIONS:
@@ -251,8 +251,8 @@ def validation_loss(params: ModelParams, g: BipartiteGraph,
             continue
         pos_c_all = g.edge_endpoints(d)[val]
         neg_c_all, neg_t_all = val_negs[d]
-        for lo in range(0, val.size, chunk):
-            hi = min(lo + chunk, val.size)
+        for lo in range(0, val.size, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, val.size)
             nlo, nhi = lo * config.negatives, hi * config.negatives
             y_pos, y_neg, _ = _forward_pairs(
                 params, msg_g, d, pos_c_all[lo:hi], val[lo:hi],
@@ -341,16 +341,16 @@ def build_eval_examples(g: BipartiteGraph, split: EdgeSplit, negatives_seed: int
 
 
 def predict_pairs(params: ModelParams, msg_g: BipartiteGraph,
-                  rows: list[tuple[str, int, int, int]], config: TrainingConfig,
-                  chunk: int = 2048) -> np.ndarray:
+                  rows: list[tuple[str, int, int, int]], config: TrainingConfig
+                  ) -> np.ndarray:
     """Link likelihood for (direction, customer, txn) rows, batch-severed."""
     out = np.zeros(len(rows))
     order = np.arange(len(rows))
     no_negatives = np.empty(0, dtype=np.int64)
     for d in DIRECTIONS:
         sel = order[[r[0] == d for r in rows]]
-        for lo in range(0, sel.size, chunk):
-            part = sel[lo:lo + chunk]
+        for lo in range(0, sel.size, _PAIR_CHUNK):
+            part = sel[lo:lo + _PAIR_CHUNK]
             cs = np.array([rows[i][1] for i in part], dtype=np.int64)
             ts = np.array([rows[i][2] for i in part], dtype=np.int64)
             y, _, _ = _forward_pairs(params, msg_g, d, cs, ts, no_negatives,

@@ -50,8 +50,7 @@ def edge_list_subgraph(g, num_layers):
             gr.IN_FWD: (in_t, g.i_dst[in_t], in_t),
             gr.IN_REV: (g.i_dst[in_t], in_t, in_t)}
     return gr.Subgraph(num_layers, (all_c,) * (num_layers + 1),
-                       (all_t,) * (num_layers + 1), (rels,) * num_layers,
-                       (all_c,) * num_layers, (all_t,) * num_layers)
+                       (all_t,) * (num_layers + 1), (rels,) * num_layers)
 
 
 class TestFullSubgraph:

@@ -407,9 +407,17 @@ class TestNeighborhood:
         sub = gr.sample_neighborhood(g, [(0, 0), (2, 5)], fanout=4, num_layers=3, seed=5)
         np.testing.assert_array_equal(sub.levels_c[0], [0, 2])
         np.testing.assert_array_equal(sub.levels_t[0], [0, 5])
-        for h in range(sub.depth):
-            assert set(map(int, sub.levels_c[h])) <= set(map(int, sub.levels_c[h + 1]))
-            assert set(map(int, sub.levels_t[h])) <= set(map(int, sub.levels_t[h + 1]))
+        for levels in (sub.levels_c, sub.levels_t):
+            for h in range(sub.depth):
+                # each level is a prefix of the next; each hop appends its
+                # newly reached nodes, sorted
+                np.testing.assert_array_equal(levels[h], levels[h + 1][:len(levels[h])])
+                assert np.all(np.diff(levels[h + 1][len(levels[h]):]) > 0)
+            assert len(np.unique(levels[-1])) == len(levels[-1])
+        for i in range(1, sub.depth):   # layer i's edges are a prefix of layer i-1's
+            for rel in gr.RELATIONS:
+                for a, b in zip(sub.layers[i][rel], sub.layers[i - 1][rel]):
+                    np.testing.assert_array_equal(a, b[:len(a)])
 
     def test_localized_edges_consistent(self):
         # every (src_local, dst_local, edge) triple decodes to a real edge

@@ -313,7 +313,7 @@ class TestLayerSemantics:
                 new[rel] = (src[perm], dst[perm], etxn[perm])
             shuffled_layers.append(new)
         sub2 = gr.Subgraph(sub.depth, sub.levels_c, sub.levels_t,
-                           tuple(shuffled_layers), sub.self_c, sub.self_t)
+                           tuple(shuffled_layers))
         for kind in md.KINDS:
             params = md.init_params(kind, g.d_customer, g.d_transaction, 2, 8,
                                     2 if kind == "gat" else 1, seed=10)
@@ -322,19 +322,43 @@ class TestLayerSemantics:
             np.testing.assert_allclose(za[0].data, zb[0].data, atol=1e-9)
             np.testing.assert_allclose(za[1].data, zb[1].data, atol=1e-9)
 
-    def test_sampled_equals_full_when_cap_not_binding(self):
-        g = make_graph(seed=25, n_c=10, n_t=50)
-        for kind in md.KINDS:
-            params = md.init_params(kind, g.d_customer, g.d_transaction, 3, 8,
-                                    2 if kind == "gat" else 1, seed=11)
-            warm_bn(params, full_sub(g, 3), g)
-            full_c, full_t = md.encode(params, full_sub(g, 3), g.x_c, g.x_t)
-            seeds_c, seeds_t = np.array([1, 4]), np.array([0, 7])
-            sub = gr.sample_neighborhood_nodes(g, seeds_c, seeds_t, fanout=10 ** 6,
-                                               num_layers=3, seed=99)
-            zc, zt = md.encode(params, sub, g.x_c, g.x_t)
-            np.testing.assert_allclose(zc.data, full_c.data[seeds_c], atol=1e-9)
-            np.testing.assert_allclose(zt.data, full_t.data[seeds_t], atol=1e-9)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sampled_equals_full_when_cap_not_binding(self, data):
+        """A node's inference embedding has the same bits sampled alone, with
+        other seeds and, at a fanout no row exceeds, inside `full_subgraph`;
+        at a truncating fanout it has the same bits alone and with others."""
+        kind = data.draw(st.sampled_from(md.KINDS), label="kind")
+        layers = data.draw(st.integers(1, 3), label="layers")
+        g = make_graph(seed=data.draw(st.integers(0, 99), label="graph"), n_c=8, n_t=40)
+        params = md.init_params(kind, g.d_customer, g.d_transaction, layers, 8,
+                                2 if kind == "gat" else 1, seed=11)
+        full = gr.full_subgraph(g, layers)
+        warm_bn(params, full, g)
+        full_z = [z.data for z in md.encode(params, full, g.x_c, g.x_t)]
+        cap = int(max(np.diff(g.out_indptr).max(), np.diff(g.in_indptr).max()))
+        fanout = data.draw(st.sampled_from([1, 2, cap]), label="fanout")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        seeds_c = data.draw(st.lists(st.integers(0, g.n_customers - 1), max_size=4,
+                                     unique=True), label="seeds_c")
+        seeds_t = data.draw(st.lists(st.integers(0, g.n_transactions - 1),
+                                     min_size=0 if seeds_c else 1, max_size=4,
+                                     unique=True), label="seeds_t")
+
+        def embed(cs, ts):
+            """{node: embedding} of each type for one sample of seeds cs, ts."""
+            sub = gr.sample_neighborhood_nodes(g, cs, ts, fanout, layers, seed)
+            return [dict(zip(level.tolist(), z.data)) for level, z in
+                    zip((sub.levels_c[0], sub.levels_t[0]),
+                        md.encode(params, sub, g.x_c, g.x_t))]
+
+        together = embed(seeds_c, seeds_t)
+        for tau, seeds in enumerate((seeds_c, seeds_t)):
+            for node in seeds:
+                alone = embed(*(([node], []) if tau == 0 else ([], [node])))[tau][node]
+                assert alone.tobytes() == together[tau][node].tobytes()
+                if fanout == cap:
+                    assert alone.tobytes() == full_z[tau][node].tobytes()
 
     def test_shallow_subgraph_rejected(self):
         g = make_graph(seed=26)
@@ -384,6 +408,9 @@ class TestStackedEncode:
                 g, seeds_c, seeds_t, fanout, layers, seed=i,
                 removed_out=removed_out, removed_in=removed_in))
         union, (first_c, first_t) = gr.stack_subgraphs(subs)
+        for levels in (union.levels_c, union.levels_t):
+            for h in range(union.depth):
+                assert levels[h].tolist() == levels[h + 1][:len(levels[h])].tolist()
         zc, zt = md.encode(params, union, g.x_c, g.x_t)
         assert len(zc.data) == sum(len(s.levels_c[0]) for s in subs)
         assert len(zt.data) == sum(len(s.levels_t[0]) for s in subs)

@@ -114,6 +114,19 @@ class TestTapeMechanics:
 
 
 class TestGradients:
+    def test_input_of_add_and_another_op(self):
+        """add's backward hands one array to both inputs; a tensor that
+        feeds add and another op must not see the other input's gradient
+        land in its own: loss = s + u + 3s with s = x, u = 2x gives 6."""
+        x = nd.Tensor(np.ones(3), requires_grad=True)
+        with nd.Tape() as tape:
+            s = nd.scale(x, 1.0)
+            u = nd.scale(x, 2.0)
+            v = nd.scale(s, 3.0)
+            loss = nd.sum_all(nd.add(nd.add(s, u), v))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
     def test_matmul(self):
         b = nd.Tensor(RNG.normal(size=(4, 3)))
         check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.matmul(x, b))),
