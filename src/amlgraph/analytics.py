@@ -22,15 +22,21 @@ KMEANS_TOL = 1e-6
 
 
 def cosine_similarity(a, b) -> float:
+    """Cosine of two finite vectors. Where the plain formula overflows or
+    underflows, it is taken again over each vector divided by its largest
+    coordinate, which leaves the cosine unchanged."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ConfigError(f"vector lengths differ: {a.size} vs {b.size}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    if not (a.any() and b.any()):
         raise NumericalError("cosine similarity of a zero vector is undefined")
-    return float(a @ b / (na * nb))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        sim = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+    if np.isfinite(sim):
+        return sim
+    a, b = a / np.abs(a).max(), b / np.abs(b).max()
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,8 @@ def compute_embeddings(params: ModelParams, g: BipartiteGraph,
     """Full-graph embeddings of every node at the chosen layer.
 
     Layers count from 0; the default is the final one. Returns
-    (customer_ids, z_c, txn_ids, z_t) with rows in graph node order.
+    (customer_ids, z_c, txn_ids, z_t) with rows in graph node order; a
+    non-finite embedding raises NumericalError.
     """
     if layer is None:
         layer = params.num_layers - 1
@@ -148,6 +155,9 @@ def compute_embeddings(params: ModelParams, g: BipartiteGraph,
     capture: list = []
     encode(params, sub, g.x_c, g.x_t, capture=capture)
     c_idx, z_c, t_idx, z_t, _ = capture[layer]
+    if not (np.all(np.isfinite(z_c)) and np.all(np.isfinite(z_t))):
+        raise NumericalError("an embedding is not finite: the model or graph "
+                             "holds values too large to encode")
     c_ids = [g.customer_ids[i] for i in c_idx]
     t_ids = [g.txn_ids[i] for i in t_idx]
     return c_ids, z_c, t_ids, z_t

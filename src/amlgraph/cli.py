@@ -197,13 +197,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path: str, graph_path: str, g: gr.BipartiteGraph) -> md.ModelParams:
+    """The model at `path`, refused unless it takes the graph's feature widths."""
+    params = md.load_model(_require(path))
+    if (params.d_c, params.d_t) != (g.d_customer, g.d_transaction):
+        raise IngestError(
+            f"{path} takes {params.d_c} customer and {params.d_t} transaction "
+            f"features, but {graph_path} has {g.d_customer} and {g.d_transaction}")
+    return params
+
+
 SCORE_DEFAULTS = {"fanout": 32, "seed": 0}
 
 
 def cmd_score(args) -> int:
     cfg = _effective(args, SCORE_DEFAULTS)
     g = gr.load_graph(_require(args.graph))
-    params = md.load_model(_require(args.model))
+    params = _load_model(args.model, args.graph, g)
     new_txns = gr.load_transactions(_require(args.transactions))
     tc = tr.TrainingConfig(fanout=_num(cfg, "fanout", int),
                            seed=_num(cfg, "seed", int))
@@ -267,7 +277,7 @@ def cmd_embed(args) -> int:
     cfg = _effective(args, {"layer": None})
     layer = None if cfg["layer"] is None else _num(cfg, "layer", int)
     g = gr.load_graph(_require(args.graph))
-    params = md.load_model(_require(args.model))
+    params = _load_model(args.model, args.graph, g)
     analytics.export_embeddings(params, g, args.out, layer=layer)
     write_manifest(args.out + ".manifest.json", "embed", cfg,
                    [args.graph, args.model], [args.out])
@@ -407,7 +417,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # each command checks its results for non-finite values itself, so
+        # numpy's floating-point warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

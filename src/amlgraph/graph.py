@@ -446,10 +446,14 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     return np.repeat(owners_frontier, new_counts), nbrs[keep], new_counts
 
 
-def _filter_removed(nbrs, counts, removed):
+def _filter_removed(nbrs, counts, removed, exposed=None):
+    """Drop the edges to `removed` transactions, except each owner's edge to
+    `exposed[owner]` (one transaction per owner, -1 for none)."""
     if removed is None:
         return nbrs, counts
     keep = ~removed[nbrs]
+    if exposed is not None:
+        keep |= nbrs == np.repeat(exposed, counts)
     if keep.all():
         return nbrs, counts
     owner_pos = np.repeat(np.arange(len(counts)), counts)
@@ -462,8 +466,30 @@ _REL_ENDS = {OUT_FWD: ("c", "t"), OUT_REV: ("t", "c"),
              IN_FWD: ("t", "c"), IN_REV: ("c", "t")}
 
 
+class _SortedRows:
+    """Row map over a key space too large to allocate densely: the keys
+    given rows so far, sorted, beside their rows. An unseen key reads -1;
+    rows are assigned to sorted keys not seen yet, as `_grow` does."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.int64)
+
+    def __getitem__(self, keys):
+        if not len(self.keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.rows[pos], -1)
+
+    def __setitem__(self, keys, rows):
+        merged = np.concatenate([self.keys, keys])
+        order = np.argsort(merged, kind="stable")   # merges the two sorted runs
+        self.keys = merged[order]
+        self.rows = np.concatenate([self.rows, rows])[order]
+
+
 def _grow(rows, blocks, reached):
-    """Append to `blocks` the sorted ids in `reached` without a row yet
+    """Append to `blocks` the sorted keys in `reached` without a row yet
     (-1 in `rows`), giving them the next rows; returns them."""
     reached = np.concatenate(reached)
     new = np.unique(reached[rows[reached] < 0])
@@ -471,6 +497,93 @@ def _grow(rows, blocks, reached):
     rows[new] = np.arange(n, n + len(new))
     blocks.append(new)
     return new
+
+
+def _check_sampling(fanout, num_layers, seed) -> None:
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
+        raise ConfigError(f"sampling seed must be an int in [0, 2**64), got {seed!r}")
+    if fanout < 1:
+        raise ConfigError(f"fanout must be >= 1, got {fanout}")
+    if num_layers < 1:
+        raise ConfigError(f"need at least one layer, got {num_layers}")
+
+
+def _sample(g, keys_c, keys_t, fanout, num_layers, seed, removed_out,
+            removed_in, exposed=None):
+    """The hop loop of both samplers, over node keys part * n + id (n the
+    node count of the key's type), so the sample is the block-diagonal
+    union of each part's sample. Each hop appends the keys it reaches
+    first, sorted, so within a hop's block nodes go by (part, id).
+
+    `exposed` is None for a one-part sample: a key is the node id and the
+    row maps are dense. For several parts it is (out, in): per part, the
+    one transaction whose edge of that direction survives `removed_*` (-1
+    for none). Returns the Subgraph and the part of each customer and
+    transaction row (None for one part).
+    """
+    n_c, n_t = g.n_customers, g.n_transactions
+    several = exposed is not None
+    exposed_out, exposed_in = exposed if several else (None, None)
+
+    def split(keys, n):
+        """(part, id) of each key; the part is None for one part."""
+        return np.divmod(keys, n) if several else (None, keys)
+
+    if several:
+        row_c, row_t = _SortedRows(), _SortedRows()
+    else:
+        row_c = np.full(n_c, -1, dtype=np.int64)
+        row_t = np.full(n_t, -1, dtype=np.int64)
+    blocks_c, blocks_t = [], []
+    front_c = _grow(row_c, blocks_c, [keys_c])
+    front_t = _grow(row_t, blocks_t, [keys_t])
+    # per relation, the (customer keys, transaction keys) of each hop's edges
+    found = {rel: [] for rel in RELATIONS}
+
+    for _ in range(num_layers):
+        part_c, ids_c = split(front_c, n_c)
+        part_t, ids_t = split(front_t, n_t)
+        for rel, indptr, indices, removed, visible in (
+                (OUT_REV, g.out_indptr, g.out_indices, removed_out, exposed_out),
+                (IN_FWD, g.in_indptr, g.in_indices, removed_in, exposed_in)):
+            nbrs, counts = _flat_neighbors(indptr, indices, ids_c)
+            nbrs, counts = _filter_removed(nbrs, counts, removed,
+                                           visible[part_c] if several else None)
+            owners, nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed,
+                                        RELATIONS.index(rel))
+            if several:
+                owners = np.repeat(front_c, counts)
+                nbrs = nbrs + np.repeat(part_c * n_t, counts)
+            found[rel].append((owners, nbrs))
+        for rel, ends, removed, visible in ((OUT_FWD, g.o_src, removed_out, exposed_out),
+                                            (IN_REV, g.i_dst, removed_in, exposed_in)):
+            keep = ends[ids_t] >= 0
+            if removed is not None:
+                alive = ~removed[ids_t]
+                if several:
+                    alive |= ids_t == visible[part_t]
+                keep &= alive
+            custs = ends[ids_t[keep]]
+            if several:
+                custs = custs + part_t[keep] * n_c
+            found[rel].append((custs, front_t[keep]))
+        front_t = _grow(row_t, blocks_t, [found[OUT_REV][-1][1], found[IN_FWD][-1][1]])
+        front_c = _grow(row_c, blocks_c, [found[OUT_FWD][-1][0], found[IN_REV][-1][0]])
+
+    edges = {}   # relation -> ((src, dst, edge_txn), edges up to each hop)
+    for rel, per_hop in found.items():
+        custs, txns = (np.concatenate(keys) for keys in zip(*per_hop))
+        rows = (row_t[txns], row_c[custs])
+        src, dst = rows if _REL_ENDS[rel][0] == "t" else rows[::-1]
+        edges[rel] = ((src, dst, split(txns, n_t)[1]),
+                      np.cumsum([len(t) for _, t in per_hop]))
+    parts, nodes = [], []
+    for blocks, n in ((blocks_c, n_c), (blocks_t, n_t)):
+        part, ids = split(np.concatenate(blocks), n)
+        parts.append(part)
+        nodes.append((ids, np.cumsum(list(map(len, blocks)))))
+    return _subgraph(num_layers, *nodes, edges), tuple(parts)
 
 
 def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
@@ -491,53 +604,84 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
     severing equals rebuilding. `seed` is an int in [0, 2**64): training
     draws one per step, inference passes `config.seed`.
     """
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2 ** 64):
-        raise ConfigError(f"sampling seed must be an int in [0, 2**64), got {seed!r}")
-    if fanout < 1:
-        raise ConfigError(f"fanout must be >= 1, got {fanout}")
-    if num_layers < 1:
-        raise ConfigError(f"need at least one layer, got {num_layers}")
+    _check_sampling(fanout, num_layers, seed)
     seeds_c = np.asarray(seed_customers, dtype=np.int64).ravel()
     seeds_t = np.asarray(seed_txns, dtype=np.int64).ravel()
     if len(seeds_c) and (seeds_c.min() < 0 or seeds_c.max() >= g.n_customers):
         raise ConfigError("seed customer index out of range")
     if len(seeds_t) and (seeds_t.min() < 0 or seeds_t.max() >= g.n_transactions):
         raise ConfigError("seed transaction index out of range")
-    row_c = np.full(g.n_customers, -1, dtype=np.int64)
-    row_t = np.full(g.n_transactions, -1, dtype=np.int64)
-    blocks_c, blocks_t = [], []
-    front_c = _grow(row_c, blocks_c, [seeds_c])
-    front_t = _grow(row_t, blocks_t, [seeds_t])
-    # per relation, the (customer ids, transaction ids) of each hop's edges
-    found = {rel: [] for rel in RELATIONS}
+    return _sample(g, seeds_c, seeds_t, fanout, num_layers, seed,
+                   removed_out, removed_in)[0]
 
-    for _ in range(num_layers):
-        for rel, indptr, indices, removed in (
-                (OUT_REV, g.out_indptr, g.out_indices, removed_out),
-                (IN_FWD, g.in_indptr, g.in_indices, removed_in)):
-            nbrs, counts = _flat_neighbors(indptr, indices, front_c)
-            nbrs, counts = _filter_removed(nbrs, counts, removed)
-            owners, nbrs, _ = _cap(front_c, nbrs, counts, fanout, seed,
-                                   RELATIONS.index(rel))
-            found[rel].append((owners, nbrs))
-        for rel, ends, removed in ((OUT_FWD, g.o_src, removed_out),
-                                   (IN_REV, g.i_dst, removed_in)):
-            keep = ends[front_t] >= 0
-            if removed is not None:
-                keep &= ~removed[front_t]
-            found[rel].append((ends[front_t[keep]], front_t[keep]))
-        front_t = _grow(row_t, blocks_t, [found[OUT_REV][-1][1], found[IN_FWD][-1][1]])
-        front_c = _grow(row_c, blocks_c, [found[OUT_FWD][-1][0], found[IN_REV][-1][0]])
 
-    edges = {}   # relation -> ((src, dst, edge_txn), edges up to each hop)
-    for rel, per_hop in found.items():
-        custs, txns = (np.concatenate(ids) for ids in zip(*per_hop))
-        rows = (row_t[txns], row_c[custs])
-        src, dst = rows if _REL_ENDS[rel][0] == "t" else rows[::-1]
-        edges[rel] = ((src, dst, txns), np.cumsum([len(t) for _, t in per_hop]))
-    nodes = [(np.concatenate(b), np.cumsum(list(map(len, b)))) for b in (blocks_c, blocks_t)]
-    return _subgraph(num_layers, *nodes, edges)
+def sample_records(g: BipartiteGraph, txns, directions, n_reference: int,
+                   fanout: int, num_layers: int, seed
+                   ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
+    """Sample many scored records in one pass, as one block-diagonal union.
+
+    Part p is seeded with transaction txns[p], whose edge in directions[p]
+    it predicts. Every transaction from index `n_reference` on is absent,
+    except that part p sees the edge of txns[p] in the other direction. So
+    part p has the nodes, edges and edge order of
+    `sample_neighborhood_nodes(g, [], [txns[p]], ...)` with those removal
+    masks: `_cap` hashes node ids, not part keys.
+
+    The union is hop-major: the parts' seeds, then each hop's newly reached
+    nodes, sorted by (part, node) within the hop, so its levels are
+    prefixes as in any sample and level 0 holds txns in part order. No
+    edge joins two parts. Returns (union, (part_c, part_t)): the part of
+    each customer and transaction row.
+    """
+    _check_sampling(fanout, num_layers, seed)
+    txns = np.asarray(txns, dtype=np.int64).ravel()
+    if len(directions) != len(txns):
+        raise ConfigError(f"{len(txns)} record transactions but "
+                          f"{len(directions)} directions")
+    for direction in set(directions):
+        check_direction(direction)
+    if len(txns) and (txns.min() < n_reference or txns.max() >= g.n_transactions):
+        raise ConfigError("record transaction index outside the appended range")
+    predicts_out = np.array([d == OUTGOING for d in directions], dtype=bool)
+    removed = np.zeros(g.n_transactions, dtype=bool)
+    removed[n_reference:] = True
+    exposed = (np.where(predicts_out, -1, txns), np.where(predicts_out, txns, -1))
+    keys_t = np.arange(len(txns), dtype=np.int64) * g.n_transactions + txns
+    return _sample(g, np.empty(0, dtype=np.int64), keys_t, fanout, num_layers,
+                   seed, removed, removed, exposed)
+
+
+def chunk_parts(sub: Subgraph, parts, max_rows: int):
+    """Cut a `sample_records` union into unions of consecutive whole parts.
+
+    A chunk closes before the part that would take its rows (of both
+    types) past `max_rows`, so a part that alone holds more is a chunk of
+    its own. Yields (lo, hi, union of parts lo..hi-1): one mask over each
+    node type's rows and each relation's edges, rows renumbered by the
+    mask's running count, so each part keeps its rows and edges in order.
+    """
+    rows = np.bincount(np.concatenate(parts))   # every part has its seed row
+    ends = np.cumsum(rows)
+    tau = {"c": 0, "t": 1}
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - rows[lo] + max_rows,
+                                             side="right")))
+        keep = [(lo <= part) & (part < hi) for part in parts]
+        before = [np.concatenate([[0], np.cumsum(k)]) for k in keep]  # kept rows before
+        nodes = [(levels[-1][k], b[[len(level) for level in levels]])
+                 for levels, k, b in zip((sub.levels_c, sub.levels_t), keep, before)]
+        edges = {}
+        for rel, (src_tau, dst_tau) in _REL_ENDS.items():
+            src, dst, txn = sub.layers[0][rel]
+            mask = keep[tau[dst_tau]][dst]
+            # edges up to hop k are layer depth-1-k
+            ends_rel = np.concatenate([[0], np.cumsum(mask)])[
+                [len(sub.layers[sub.depth - 1 - k][rel][2]) for k in range(sub.depth)]]
+            edges[rel] = ((before[tau[src_tau]][src[mask]],
+                           before[tau[dst_tau]][dst[mask]], txn[mask]), ends_rel)
+        yield lo, hi, _subgraph(sub.depth, *nodes, edges)
+        lo = hi
 
 
 def _subgraph(depth, nodes_c, nodes_t, edges) -> Subgraph:
@@ -558,62 +702,6 @@ def sample_neighborhood(g: BipartiteGraph, seed_edges, fanout: int,
     pairs = np.asarray(seed_edges, dtype=np.int64).reshape(-1, 2)
     return sample_neighborhood_nodes(g, pairs[:, 0], pairs[:, 1], fanout,
                                      num_layers, seed, removed_out, removed_in)
-
-
-def _hop_major(sizes: np.ndarray) -> tuple[list, np.ndarray]:
-    """Union positions of each part's entries, and the union's prefix
-    lengths, for a hop-major union of nested prefixes: sizes[i, k] is the
-    length of part i's prefix k, and the union lists every part's entries
-    of prefix k past prefix k-1, parts in order, before any of prefix k+1.
-    """
-    below = np.zeros_like(sizes)
-    below[:, 1:] = sizes[:, :-1]
-    blocks = sizes - below
-    shift = below.sum(axis=0) + np.cumsum(blocks, axis=0) - blocks - below
-    return ([np.arange(n) + np.repeat(sh, b)
-             for n, sh, b in zip(sizes[:, -1], shift, blocks)], sizes.sum(axis=0))
-
-
-def _place(arrays, positions, ends) -> np.ndarray:
-    out = np.empty(ends[-1], dtype=np.int64)
-    out[np.concatenate(positions)] = np.concatenate(arrays)
-    return out
-
-
-def stack_subgraphs(subs: Sequence[Subgraph]
-                    ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
-    """Block-diagonal union of samples of one depth, encoded in one pass.
-
-    The union is hop-major: the parts' seeds, part by part, then each hop's
-    newly reached nodes, part by part, so its levels are again prefixes,
-    and its edges follow in the same order with each part's rows
-    renumbered. No edge joins two parts, and each destination keeps its
-    edges in order. The parts must be samples (`sample_neighborhood_nodes`).
-    Returns (union, (offsets_c, offsets_t)); the union's level 0 is not
-    sorted, and part i's seeds start at its rows offsets_c[i]/offsets_t[i].
-    """
-    if not subs:
-        raise ConfigError("need at least one subgraph to stack")
-    depth = subs[0].depth
-    if any(s.depth != depth for s in subs):
-        raise ConfigError("subgraphs to stack differ in depth")
-    rows, nodes, offsets = {}, {}, []
-    for tau in ("c", "t"):
-        parts = [s.levels_c if tau == "c" else s.levels_t for s in subs]
-        sizes = np.array([[len(level) for level in p] for p in parts])
-        rows[tau], ends = _hop_major(sizes)
-        nodes[tau] = (_place([p[-1] for p in parts], rows[tau], ends), ends)
-        offsets.append(np.cumsum(sizes[:, 0]) - sizes[:, 0])
-    edges = {}
-    for rel, (src_tau, dst_tau) in _REL_ENDS.items():
-        # a part's edges up to hop k are its layer depth-1-k
-        at, ends = _hop_major(np.array(
-            [[len(s.layers[depth - 1 - k][rel][2]) for k in range(depth)] for s in subs]))
-        parts = [s.layers[0][rel] for s in subs]
-        edges[rel] = ((_place([r[e[0]] for r, e in zip(rows[src_tau], parts)], at, ends),
-                       _place([r[e[1]] for r, e in zip(rows[dst_tau], parts)], at, ends),
-                       _place([e[2] for e in parts], at, ends)), ends)
-    return _subgraph(depth, nodes["c"], nodes["t"], edges), tuple(offsets)
 
 
 def full_subgraph(g: BipartiteGraph, num_layers: int) -> Subgraph:

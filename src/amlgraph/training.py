@@ -6,13 +6,13 @@ of that, every step severs the predicted direction's real edges for all
 transactions in the batch (negatives included), so a prediction can
 never peek at the edge it is asked to make.
 
-Scoring attaches each new transaction to the reference graph one at a
-time: the predicted direction is severed, the transaction embedding is
+Scoring attaches each new transaction to the reference graph on its
+own: the predicted direction is severed, the transaction embedding is
 computed through the sampled neighborhood, and it is decoded against
 the counterpart customer's embedding from the reference graph alone.
-Records are sampled one by one and encoded in chunks, one encode over
-the block-diagonal union of a chunk's samples; each record's result is
-bit-identical to encoding its sample alone.
+A block of records is sampled in one call, as the block-diagonal union of
+their samples, and encoded in chunks of whole records; each record's
+result is bit-identical to sampling and encoding it alone.
 
 A node's neighbor sample is a pure function of (seed, node, relation,
 surviving edges) (`graph.sample_neighborhood_nodes`). Each `train_step`
@@ -31,9 +31,10 @@ from . import ndtensor as nd
 from .errors import ConfigError, NumericalError
 from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
-                    RawTransaction, as_rng, check_direction, extend_graph,
-                    read_records, sample_negatives, sample_neighborhood,
-                    sample_neighborhood_nodes, stack_subgraphs)
+                    RawTransaction, as_rng, check_direction, chunk_parts,
+                    extend_graph, read_records, sample_negatives,
+                    sample_neighborhood, sample_neighborhood_nodes,
+                    sample_records)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
 from .ndtensor import Tensor, bce, gather_rows, reshape, scale, zero_grad
 
@@ -41,7 +42,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # sampled input rows of one scoring encode: about 150 records at 2 layers,
-# which amortizes per-op overhead, and about 1 MB per array at any depth
+# which amortizes per-op overhead, and about 1 MB per array at any depth.
+# Also the most records sampled in one call, as each has at least one row.
 _SCORE_CHUNK_ROWS = 1 << 12
 _PAIR_CHUNK = 2048   # pairs `validation_loss`/`predict_pairs` encode at once
 
@@ -396,18 +398,16 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     transactions stay invisible, and the customer side of the decoder
     comes from the reference graph without any new transaction. Every
     sample is drawn at `config.seed` and is a function of the node and its
-    surviving edges alone. Records are sampled one by one and encoded in
-    chunks, one encode over the block-diagonal union of a chunk's samples;
-    the encoder's products are row-exact, so each record's result is
+    surviving edges alone. Up to `_SCORE_CHUNK_ROWS` records are sampled in
+    one `sample_records` call, each record its own part of a block-diagonal
+    union, and encoded in chunks of whole records (`chunk_parts`); the
+    encoder's products are row-exact, so each record's result is
     bit-identical to scoring its transaction alone, in any batch or order.
+    A non-finite score raises NumericalError.
     """
     if not new_transactions:
         return []
     ext_g, infos = extend_graph(g, new_transactions)
-    # every new transaction's edges are absent; each record exposes one
-    removed_out = np.zeros(ext_g.n_transactions, dtype=bool)
-    removed_out[g.n_transactions:] = True
-    removed_in = removed_out.copy()
 
     # the decoder's customer side: final-layer embeddings over the reference graph
     needed = np.array(sorted({i for info in infos for i in (info.src_index, info.dst_index)
@@ -427,39 +427,23 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
                 continue  # EXTERNAL side: no edge to predict
             records.append((info, direction, cust_id, None if cold else cust_idx))
 
-    def chunks():
-        """(record numbers, samples) of consecutive warm records whose
-        samples' input levels hold at most _SCORE_CHUNK_ROWS rows in all,
-        or of one record whose sample alone holds more."""
-        ks, subs, rows = [], [], 0
-        for k, (info, direction, _, cust_idx) in enumerate(records):
-            if cust_idx is None:
-                continue
-            # expose only the scored transaction's counterpart edge
-            counterpart = removed_in if direction == OUTGOING else removed_out
-            counterpart[info.txn_index] = False
-            sub = sample_neighborhood_nodes(
-                ext_g, [], [info.txn_index], config.fanout, params.num_layers,
-                config.seed, removed_out=removed_out, removed_in=removed_in)
-            counterpart[info.txn_index] = True
-            n = len(sub.levels_c[-1]) + len(sub.levels_t[-1])
-            if ks and rows + n > _SCORE_CHUNK_ROWS:
-                yield ks, subs
-                ks, subs, rows = [], [], 0
-            ks.append(k)
-            subs.append(sub)
-            rows += n
-        if ks:
-            yield ks, subs
-
     y_hat = np.full(len(records), np.nan)
-    for chunk, subs in chunks():
-        union, (_, first_t) = stack_subgraphs(subs)
-        _, z_t = encode(params, union, ext_g.x_c, ext_g.x_t)
-        # a record's level 0 is its one transaction
-        z_txn = Tensor(z_t.data[first_t])
-        z_cust = Tensor(np.stack([ref[records[k][3]] for k in chunk]))
-        y_hat[chunk] = decode(params.w_dec, z_cust, z_txn).data[:, 0]
+    warm = [k for k, record in enumerate(records) if record[3] is not None]
+    # every record has an input row, so a block fills at least one chunk
+    for lo in range(0, len(warm), _SCORE_CHUNK_ROWS):
+        block = warm[lo:lo + _SCORE_CHUNK_ROWS]
+        union, parts = sample_records(
+            ext_g, [records[k][0].txn_index for k in block],
+            [records[k][1] for k in block], g.n_transactions, config.fanout,
+            params.num_layers, config.seed)
+        for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
+            _, z_t = encode(params, chunk, ext_g.x_c, ext_g.x_t)
+            # a chunk's level 0 is its records' transactions, in order
+            z_cust = Tensor(np.stack([ref[records[k][3]] for k in block[a:b]]))
+            y_hat[block[a:b]] = decode(params.w_dec, z_cust, z_t).data[:, 0]
+    if not np.all(np.isfinite(y_hat[warm])):
+        raise NumericalError("a score is not finite: the model, graph or "
+                             "transactions hold values too large to encode")
 
     results = []
     for (info, direction, cust_id, cust_idx), y in zip(records, y_hat.tolist()):

@@ -22,6 +22,15 @@ class TestCosine:
             direct = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
             assert abs(an.cosine_similarity(a, b) - direct) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-320])
+    def test_extreme_magnitudes_finite(self, scale):
+        """Vectors whose plain dot product or norms overflow or underflow
+        still give the cosine of the same vectors at unit scale."""
+        a, b = np.array([3.0, -1.0, 2.0]), np.array([1.0, 4.0, -2.0])
+        got = an.cosine_similarity(scale * a, scale * b)
+        assert abs(got - an.cosine_similarity(a, b)) < 1e-12
+        assert an.cosine_similarity(scale * a, scale * a) == pytest.approx(1.0, abs=1e-15)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(NumericalError):
             an.cosine_similarity([0.0, 0.0], [1.0, 0.0])

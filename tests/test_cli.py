@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import struct
 import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amlgraph.datagen as dg
 import amlgraph.graph as gr
@@ -14,6 +19,13 @@ from amlgraph.cli import main
 
 def run(*argv):
     return main(list(argv))
+
+
+def _flip(blob, flips):
+    out = bytearray(blob)
+    for pos, mask in flips:
+        out[pos % len(out)] ^= mask
+    return bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -453,6 +465,56 @@ class TestMalformedInput:
                    "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_feature_width_mismatch_is_2(self, pipeline, tmp_path, capsys):
+        """A graph built from profiles with one feature dropped does not fit
+        the model: score and embed refuse it in one line naming both widths."""
+        profiles = [gr.CustomerProfile(p.customer_id, p.features[:-1]) for p in
+                    gr.load_profiles(os.path.join(pipeline["data"], "profiles.jsonl"))]
+        txns = gr.load_transactions(os.path.join(pipeline["data"],
+                                                 "transactions_train.jsonl"))
+        graph = str(tmp_path / "graph.bin")
+        gr.save_graph(gr.build_graph(txns, profiles), graph)
+        capsys.readouterr()
+        code, out = self._score(pipeline, tmp_path, graph=graph)
+        assert code == 2 and not out.exists()
+        emb = tmp_path / "emb.tsv"
+        assert run("embed", "--graph", graph, "--model", pipeline["model"],
+                   "--out", str(emb)) == 2
+        assert not emb.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert "6 customer and 4 transaction" in line and "has 5 and 4" in line
+
+    @pytest.mark.parametrize("where", ["graph", "model"])
+    def test_values_too_large_to_encode_are_3(self, pipeline, tmp_path, capsys, where):
+        """Finite features or weights so large that encoding overflows: score
+        and embed exit 3 with one stderr line and write no output."""
+        graph, model = pipeline["graph"], pipeline["model"]
+        if where == "graph":
+            g = gr.load_graph(graph)
+            fields = {name: getattr(g, name) for name in (
+                "customer_ids", "txn_ids", "x_c", "x_t", "o_src", "i_dst",
+                "timestamps", "stats")}
+            fields["x_c"] = np.where(g.x_c > 0, 1e308, -1e308)
+            graph = str(tmp_path / "graph.bin")
+            gr.save_graph(types.SimpleNamespace(**fields), graph)
+        else:
+            params = md.load_model(model)
+            params.layers[0]["w_self_c"].data *= 1e308
+            model = str(tmp_path / "model.bin")
+            md.save_model(params, model)
+        capsys.readouterr()
+        out = tmp_path / "scores.jsonl"
+        assert run("score", "--graph", graph, "--model", model, "--transactions",
+                   os.path.join(pipeline["data"], "transactions_test.jsonl"),
+                   "--out", str(out), "--fanout", "8") == 3
+        emb = tmp_path / "emb.tsv"
+        assert run("embed", "--graph", graph, "--model", model, "--out", str(emb)) == 3
+        assert not out.exists() and not emb.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and "not finite" in lines[0] and "not finite" in lines[1]
+
     def test_non_finite_graph_is_2(self, pipeline, tmp_path):
         g = gr.load_graph(pipeline["graph"])
         x_c = g.x_c.copy()
@@ -513,3 +575,83 @@ class TestMalformedInput:
                    "--out", str(out)) == 2
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
+
+
+def _finite_output(path):
+    """Whether every number in an output file is finite: JSON lines (or one
+    JSON document), or an embedding export's tab-separated columns."""
+    text = open(path, encoding="utf-8").read()
+    if path.endswith(".tsv"):
+        return all(np.isfinite(float(v)) for line in text.splitlines()[1:]
+                   for v in line.split("\t")[2:])
+
+    def non_finite(token):
+        raise ValueError(token)
+
+    try:
+        for doc in [text] if path.endswith(".json") else text.splitlines():
+            json.loads(doc, parse_constant=non_finite)
+    except ValueError:
+        return False
+    return True
+
+
+class TestCorruptInput:
+    """One input of score, embed, evaluate or diverge byte-flipped or cut:
+    the command exits 0-3 and never raises; a failure prints one stderr
+    line (numpy warnings count as lines) and leaves no output; no output
+    holds a non-finite number."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, pipeline, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corrupt")
+        emb = str(root / "snapshot.tsv")
+        assert run("embed", "--graph", pipeline["graph"], "--model",
+                   pipeline["model"], "--out", emb) == 0
+        return root, {
+            "graph": pipeline["graph"], "model": pipeline["model"],
+            "transactions": os.path.join(pipeline["data"], "transactions_test.jsonl"),
+            "scores": pipeline["scores"],
+            "labels": os.path.join(pipeline["data"], "labels.jsonl"),
+            "embeddings": emb}
+
+    @staticmethod
+    def argv(command, p, pristine, out):
+        """The command over inputs `p`; diverge compares with a pristine snapshot."""
+        return {"score": ["score", "--graph", p["graph"], "--model", p["model"],
+                          "--transactions", p["transactions"], "--fanout", "8"],
+                "embed": ["embed", "--graph", p["graph"], "--model", p["model"]],
+                "evaluate": ["evaluate", "--scores", p["scores"], "--labels", p["labels"]],
+                "diverge": ["diverge", "--embeddings", p["embeddings"],
+                            pristine["embeddings"]]}[command] + ["--out", out]
+
+    @pytest.mark.parametrize("command,name", [
+        ("score", "graph"), ("score", "model"), ("score", "transactions"),
+        ("embed", "graph"), ("embed", "model"), ("evaluate", "scores"),
+        ("evaluate", "labels"), ("diverge", "embeddings")])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupt_input_exits_cleanly(self, inputs, command, name, data):
+        root, pristine = inputs
+        blob = open(pristine[name], "rb").read()
+        position = st.one_of(st.integers(0, 63), st.integers(0, len(blob) - 1))
+        flips = st.lists(st.tuples(position, st.integers(1, 255)), min_size=1,
+                         max_size=4).map(lambda fl: _flip(blob, fl))
+        cuts = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+        bad = root / ("bad_" + os.path.basename(pristine[name]))
+        bad.write_bytes(data.draw(st.one_of(flips, cuts)))
+        out = root / {"score": "scores.jsonl", "embed": "emb.tsv",
+                      "evaluate": "report.json", "diverge": "drift.jsonl"}[command]
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(self.argv(command, {**pristine, name: str(bad)}, pristine,
+                                  str(out)))
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert len(lines) == 1 and not out.exists(), lines
+        else:
+            assert _finite_output(str(out)), lines

@@ -375,16 +375,18 @@ class TestLayerSemantics:
         np.testing.assert_allclose(a[0].data, b[0].data, atol=1e-9)
 
 
-class TestStackedEncode:
-    """One encode over `stack_subgraphs(subs)` gives each part's rows the
-    bits `encode(sub)` gives them alone; batched scoring relies on it."""
+class TestRecordSampler:
+    """`sample_records` cut by `chunk_parts`: each record is a part with the
+    nodes and edges of that record sampled alone, every appended
+    transaction's edges cleared but its counterpart edge, and its encoded
+    row has the bits of that sample's; batched scoring relies on it."""
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_union_rows_equal_parts_alone(self, data):
+    def test_record_rows_equal_records_alone(self, data):
         kind = data.draw(st.sampled_from(md.KINDS), label="kind")
         heads = data.draw(st.sampled_from([1, 2, 4]), label="heads") if kind == "gat" else 1
-        layers = data.draw(st.integers(1, 3), label="layers")
+        layers = data.draw(st.integers(1, 4), label="layers")
         fanout = data.draw(st.integers(1, 3), label="fanout")
         hidden = data.draw(st.sampled_from([8, 32]), label="hidden")
         g = make_graph(seed=data.draw(st.integers(0, 99), label="graph"), n_c=6, n_t=40)
@@ -392,39 +394,71 @@ class TestStackedEncode:
         params = md.init_params(kind, g.d_customer, g.d_transaction, layers,
                                 hidden, heads, seed=3)
         warm_bn(params, full_sub(g, layers), g)
-        everything = np.ones(g.n_transactions, dtype=bool)
-        masks = {"none": (None, None), "no out edges": (everything, None),
-                 "no in edges": (None, everything)}
-        subs = []
-        for i in range(data.draw(st.integers(1, 5), label="parts")):
-            seeds_c = data.draw(st.lists(st.integers(0, g.n_customers - 1),
-                                         max_size=3), label="seeds_c")
-            seeds_t = data.draw(st.lists(st.integers(0, g.n_transactions - 1),
-                                         min_size=0 if seeds_c else 1, max_size=3),
-                                label="seeds_t")
-            removed_out, removed_in = masks[data.draw(st.sampled_from(sorted(masks)),
-                                                      label="mask")]
-            subs.append(gr.sample_neighborhood_nodes(
-                g, seeds_c, seeds_t, fanout, layers, seed=i,
+        # appended transactions: hub counterparts, self-transfers, EXTERNAL sides
+        hub = int(np.argmax(np.diff(g.out_indptr) + np.diff(g.in_indptr)))
+        side = st.sampled_from([hub, hub, *range(g.n_customers), None])
+        ends = data.draw(st.lists(st.tuples(side, side).filter(lambda e: e != (None, None)),
+                                  min_size=1, max_size=5), label="ends")
+        name = lambda c: gr.EXTERNAL if c is None else g.customer_ids[c]  # noqa: E731
+        ext, _ = gr.extend_graph(g, [gr.RawTransaction(
+            f"n{j}", name(src), name(dst), 99.0, np.full(g.d_transaction, 0.1 * j))
+            for j, (src, dst) in enumerate(ends)])
+        # records may repeat a transaction, in one direction or both
+        records = data.draw(st.lists(st.tuples(st.integers(0, len(ends) - 1),
+                                               st.sampled_from(gr.DIRECTIONS)),
+                                     min_size=1, max_size=8), label="records")
+        txns = [g.n_transactions + j for j, _ in records]
+        directions = [d for _, d in records]
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+
+        alone = []
+        for txn, direction in zip(txns, directions):
+            removed_out = np.arange(ext.n_transactions) >= g.n_transactions
+            removed_in = removed_out.copy()
+            (removed_in if direction == gr.OUTGOING else removed_out)[txn] = False
+            alone.append(gr.sample_neighborhood_nodes(
+                ext, [], [txn], fanout, layers, seed,
                 removed_out=removed_out, removed_in=removed_in))
-        union, (first_c, first_t) = gr.stack_subgraphs(subs)
+        union, parts = gr.sample_records(ext, txns, directions, g.n_transactions,
+                                         fanout, layers, seed)
+        assert union.levels_t[0].tolist() == txns
         for levels in (union.levels_c, union.levels_t):
             for h in range(union.depth):
                 assert levels[h].tolist() == levels[h + 1][:len(levels[h])].tolist()
-        zc, zt = md.encode(params, union, g.x_c, g.x_t)
-        assert len(zc.data) == sum(len(s.levels_c[0]) for s in subs)
-        assert len(zt.data) == sum(len(s.levels_t[0]) for s in subs)
-        for sub, c0, t0 in zip(subs, first_c, first_t):
-            ac, at = md.encode(params, sub, g.x_c, g.x_t)
-            assert zc.data[c0:c0 + len(ac.data)].tobytes() == ac.data.tobytes()
-            assert zt.data[t0:t0 + len(at.data)].tobytes() == at.data.tobytes()
+        # a budget of one row makes each part a chunk: the sample alone
+        for (lo, hi, chunk), sub in zip(gr.chunk_parts(union, parts, 1), alone,
+                                        strict=True):
+            for got, want in ((chunk.levels_c, sub.levels_c),
+                              (chunk.levels_t, sub.levels_t)):
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            for got, want in zip(chunk.layers, sub.layers, strict=True):
+                assert {rel: [a.tolist() for a in arrays] for rel, arrays in got.items()} == \
+                       {rel: [a.tolist() for a in arrays] for rel, arrays in want.items()}
 
-    def test_mismatched_depths_rejected(self):
+        rows = [len(s.levels_c[-1]) + len(s.levels_t[-1]) for s in alone]
+        budget = data.draw(st.integers(1, sum(rows) + 1), label="budget")
+        encoded, at = [], 0
+        for lo, hi, chunk in gr.chunk_parts(union, parts, budget):
+            # greedy: the chunk fits unless it is one part, the next would not
+            assert lo == at < hi and (hi == lo + 1 or sum(rows[lo:hi]) <= budget)
+            assert hi == len(rows) or sum(rows[lo:hi + 1]) > budget
+            assert chunk.levels_t[0].tolist() == txns[lo:hi]
+            encoded.extend(md.encode(params, chunk, ext.x_c, ext.x_t)[1].data)
+            at = hi
+        assert at == len(records)
+        for row, sub in zip(encoded, alone, strict=True):
+            assert row.tobytes() == md.encode(params, sub, ext.x_c, ext.x_t)[1].data[0].tobytes()
+
+    def test_bad_records_rejected(self):
         g = make_graph(seed=28)
-        with pytest.raises(ConfigError):
-            gr.stack_subgraphs([full_sub(g, 1), full_sub(g, 2)])
-        with pytest.raises(ConfigError):
-            gr.stack_subgraphs([])
+        ext, _ = gr.extend_graph(g, [gr.RawTransaction("n0", "c00", "c01", 9.0,
+                                                        np.zeros(g.d_transaction))])
+        n = g.n_transactions
+        for txns, directions in (([n - 1], [gr.OUTGOING]), ([n + 1], [gr.OUTGOING]),
+                                 ([n], ["sideways"]), ([n, n], [gr.OUTGOING])):
+            with pytest.raises(ConfigError):
+                gr.sample_records(ext, txns, directions, n, fanout=2, num_layers=1,
+                                  seed=0)
 
 
 class TestGradients:

@@ -417,17 +417,29 @@ class TestScoring:
             encodes.append(1)
             return md.encode(*args, **kwargs)
 
+        samples = []
+
+        def counting_sample(*args, **kwargs):
+            samples.append(1)
+            return gr.sample_records(*args, **kwargs)
+
         monkeypatch.setattr(tr, "encode", counting_encode)
-        runs, calls = [], []
-        for rows in (1, 2, 7, 40, 150, tr._SCORE_CHUNK_ROWS):
+        monkeypatch.setattr(tr, "sample_records", counting_sample)
+        budgets = (1, 2, 7, 40, 150, tr._SCORE_CHUNK_ROWS)
+        runs, calls, sampled = [], [], []
+        for rows in budgets:
             monkeypatch.setattr(tr, "_SCORE_CHUNK_ROWS", rows)
             encodes.clear()
+            samples.clear()
             runs.append(tr.score_transactions(params, g, new, cfg))
             calls.append(len(encodes))
+            sampled.append(len(samples))
         warm = sum(r.y_hat is not None for r in runs[0])
         # beside the reference encode: one per record, then ever fewer
         assert warm > 7 and calls[0] == 1 + warm and calls[-1] == 2
         assert calls == sorted(calls, reverse=True) and len(set(calls)) >= 4
+        # one sampler call per block of at most `rows` records
+        assert sampled == [-(-warm // rows) for rows in budgets]
         assert all(run == runs[0] for run in runs[1:])
 
     def test_deterministic(self, trained):
