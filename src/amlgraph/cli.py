@@ -3,17 +3,23 @@
 Every command writes a manifest beside its primary output recording the
 effective configuration, sha256 digests of the inputs, and the output
 paths, so any artifact can be traced back to exactly what produced it.
-Option values resolve as: built-in default, then the --config JSON file,
-then explicit command-line flags.
+Each command declares its options once, in one table (`_options`): flag
+-> (type, default, config field). The table makes the flags, the accepted
+--config keys, and the typed config. An option that sets a field of
+`TrainingConfig` or `SyntheticConfig` takes that field's type and default,
+so the CLI's defaults are the dataclasses'. Option values resolve as:
+default, then the --config JSON file, then explicit command-line flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -54,74 +60,102 @@ def write_manifest(manifest_path: str, command: str, config: dict,
         fh.write("\n")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(_require(path), "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return obj
-
-
-def _effective(args, names: dict) -> dict:
-    """Merge defaults, config file and explicit flags, in that order."""
-    file_cfg = _load_config_file(args.config)
-    unknown = set(file_cfg) - set(names)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for name, default in names.items():
-        cli = getattr(args, name.replace("-", "_"))
-        if cli is not None:
-            out[name] = cli
-        elif name in file_cfg:
-            out[name] = file_cfg[name]
-        else:
-            out[name] = default
-    return out
-
-
-def _num(cfg: dict, key: str, cast):
-    """cfg[key] as `cast` (int or float). An int key takes only an int, a
-    float key an int or a finite float; anything else, bools, numeric
-    strings, NaN and infinities included, is a config error naming the key."""
-    value = cfg[key]
-    kinds = (int,) if cast is int else (int, float)
+def _cast(key: str, value, kind):
+    """A config value as `kind` (int, float or str). An int key takes only
+    an int, a float key an int or a finite float, a str key a str; anything
+    else, bools, numeric strings, NaN and infinities included, is a config
+    error naming the key."""
+    kinds = {int: (int,), float: (int, float), str: (str,)}[kind]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"config key {key!r}: expected {cast.__name__}, "
+        raise ConfigError(f"config key {key!r}: expected {kind.__name__}, "
                           f"got {value!r}")
     try:
-        out = cast(value)
+        out = kind(value)
     except OverflowError as e:
         raise ConfigError(f"config key {key!r}: {value!r} is out of range") from e
-    if cast is float and not np.isfinite(out):
+    if kind is float and not np.isfinite(out):
         raise ConfigError(f"config key {key!r}: {value!r} is not finite")
     return out
 
 
-GEN_DEFAULTS = {
-    "n-customers": 5000, "n-transactions": 25000, "n-communities": 8,
-    "d-customer": 66, "d-transaction": 12, "anomaly-rate": 0.02,
-    "external-rate": 0.05, "seed": 0, "holdout-boundary": None,
-}
+class _Options(typing.NamedTuple):
+    """One command's options: `table` maps each flag (also its --config
+    key) to (type, default, field of the `config` dataclass or None)."""
+    config: type | None
+    table: dict
+
+
+def _options(config, spec: dict) -> _Options:
+    """A flag whose spec is a field name of `config` takes that field's
+    type and default; any other spec is the (type, default) of a flag that
+    sets no field."""
+    fields = {}
+    if config is not None:
+        hints = typing.get_type_hints(config)
+        fields = {f.name: (hints[f.name], f.default, f.name)
+                  for f in dataclasses.fields(config)}
+    return _Options(config, {flag: fields[s] if isinstance(s, str) else (*s, None)
+                             for flag, s in spec.items()})
+
+
+GEN_OPTIONS = _options(datagen.SyntheticConfig, {
+    "n-customers": "n_customers", "n-transactions": "n_transactions",
+    "n-communities": "n_communities", "d-customer": "d_customer",
+    "d-transaction": "d_transaction", "anomaly-rate": "anomaly_rate",
+    "external-rate": "external_rate", "seed": "seed",
+    "holdout-boundary": (float, None)})
+TRAIN_OPTIONS = _options(tr.TrainingConfig, {
+    "encoder": "encoder", "layers": "num_layers", "hidden": "hidden",
+    "heads": "heads", "lr": "learning_rate", "batch-size": "batch_size",
+    "negatives": "negatives", "fanout": "fanout", "epochs": "max_epochs",
+    "patience": "patience", "dropout": "dropout", "seed": "seed",
+    "message-ratio": (float, 0.5), "supervision-ratio": (float, 0.3),
+    "validation-ratio": (float, 0.2)})
+SCORE_OPTIONS = _options(tr.TrainingConfig, {"fanout": "fanout", "seed": "seed"})
+EMBED_OPTIONS = _options(None, {"layer": (int, None)})
+DIVERGE_OPTIONS = _options(None, {"threshold": (float, analytics.DIVERGENCE_THRESHOLD)})
+NO_OPTIONS = _options(None, {})
+# argparse settings beyond the type, by flag
+_FLAG_EXTRAS = {"encoder": {"choices": md.KINDS}, "holdout-boundary": {
+    "help": "also write train/test transaction files split at this timestamp"}}
+
+
+def _resolve(args, options: _Options) -> tuple[dict, object]:
+    """Merge each option's default, the --config file and the explicit
+    flags, in that order. Returns the typed values (what the manifest
+    records) and the options' config dataclass built from them and
+    validated (None if the command has none). An option whose default is
+    None may stay None."""
+    config, table = options
+    file_cfg = {}
+    if args.config is not None:
+        try:
+            with open(_require(args.config), "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{args.config}: not valid JSON: {e}") from e
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+    unknown = set(file_cfg) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for flag, (kind, default, _) in table.items():
+        cli = getattr(args, flag.replace("-", "_"))
+        value = cli if cli is not None else file_cfg.get(flag, default)
+        values[flag] = (None if value is None and default is None
+                        else _cast(flag, value, kind))
+    if config is None:
+        return values, None
+    built = config(**{field: values[flag]
+                      for flag, (_, _, field) in table.items() if field})
+    built.validate()
+    return values, built
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _effective(args, GEN_DEFAULTS)
+    values, sc = _resolve(args, GEN_OPTIONS)
     os.makedirs(args.out_dir, exist_ok=True)
-    sc = datagen.SyntheticConfig(
-        n_customers=_num(cfg, "n-customers", int),
-        n_transactions=_num(cfg, "n-transactions", int),
-        n_communities=_num(cfg, "n-communities", int),
-        d_customer=_num(cfg, "d-customer", int),
-        d_transaction=_num(cfg, "d-transaction", int),
-        anomaly_rate=_num(cfg, "anomaly-rate", float),
-        external_rate=_num(cfg, "external-rate", float),
-        seed=_num(cfg, "seed", int))
     profiles, txns, labels = datagen.generate(sc)
     paths = {name: os.path.join(args.out_dir, name) for name in
              ("profiles.jsonl", "transactions.jsonl", "labels.jsonl")}
@@ -129,26 +163,27 @@ def cmd_gen_data(args) -> int:
     gr.write_transactions(paths["transactions.jsonl"], txns)
     datagen.write_labels(paths["labels.jsonl"], labels)
     outputs = list(paths.values())
-    if cfg["holdout-boundary"] is not None:
-        train, test = datagen.holdout_split(txns, _num(cfg, "holdout-boundary", float))
+    if values["holdout-boundary"] is not None:
+        train, test = datagen.holdout_split(txns, values["holdout-boundary"])
         for name, part in (("transactions_train.jsonl", train),
                            ("transactions_test.jsonl", test)):
             path = os.path.join(args.out_dir, name)
             gr.write_transactions(path, part)
             outputs.append(path)
     write_manifest(os.path.join(args.out_dir, "manifest.json"),
-                   "gen-data", cfg, [], outputs)
+                   "gen-data", values, [], outputs)
     print(f"wrote {len(profiles)} profiles, {len(txns)} transactions "
           f"({sum(l.anomaly for l in labels)} flagged) to {args.out_dir}")
     return 0
 
 
 def cmd_build_graph(args) -> int:
+    values, _ = _resolve(args, NO_OPTIONS)
     profiles = gr.load_profiles(_require(args.profiles))
     txns = gr.load_transactions(_require(args.transactions))
     g = gr.build_graph(txns, profiles)
     gr.save_graph(g, args.out)
-    write_manifest(args.out + ".manifest.json", "build-graph", {},
+    write_manifest(args.out + ".manifest.json", "build-graph", values,
                    [args.profiles, args.transactions], [args.out])
     print(f"graph: {g.n_customers} customers, {g.n_transactions} transactions, "
           f"{g.edges(gr.OUTGOING).size} outgoing / {g.edges(gr.INCOMING).size} "
@@ -156,30 +191,11 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-TRAIN_DEFAULTS = {
-    "encoder": "gat", "layers": 3, "hidden": 32, "heads": 4, "lr": 0.001,
-    "batch-size": 256, "negatives": 1, "fanout": 32, "epochs": 40,
-    "patience": 6, "dropout": 0.0, "seed": 0, "message-ratio": 0.5,
-    "supervision-ratio": 0.3, "validation-ratio": 0.2,
-}
-
-
-def _training_config(cfg: dict) -> tr.TrainingConfig:
-    return tr.TrainingConfig(
-        encoder=str(cfg["encoder"]), num_layers=_num(cfg, "layers", int),
-        hidden=_num(cfg, "hidden", int), heads=_num(cfg, "heads", int),
-        learning_rate=_num(cfg, "lr", float), batch_size=_num(cfg, "batch-size", int),
-        negatives=_num(cfg, "negatives", int), fanout=_num(cfg, "fanout", int),
-        max_epochs=_num(cfg, "epochs", int), patience=_num(cfg, "patience", int),
-        dropout=_num(cfg, "dropout", float), seed=_num(cfg, "seed", int))
-
-
 def cmd_train(args) -> int:
-    cfg = _effective(args, TRAIN_DEFAULTS)
+    values, tc = _resolve(args, TRAIN_OPTIONS)
     g = gr.load_graph(_require(args.graph))
-    tc = _training_config(cfg)
-    ratios = (_num(cfg, "message-ratio", float), _num(cfg, "supervision-ratio", float),
-              _num(cfg, "validation-ratio", float))
+    ratios = (values["message-ratio"], values["supervision-ratio"],
+              values["validation-ratio"])
     split = gr.split_edges(g, ratios, seed=tc.seed)
     params, history = tr.fit(g, split, tc)
     md.save_model(params, args.out)
@@ -189,7 +205,7 @@ def cmd_train(args) -> int:
     with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(f"held_out_link_auc={report['roc_auc']:.6f} "
                  f"held_out_ap={report['average_precision']:.6f}\n")
-    write_manifest(args.out + ".manifest.json", "train", cfg,
+    write_manifest(args.out + ".manifest.json", "train", values,
                    [args.graph], [args.out, log_path])
     print(f"trained {tc.encoder} for {len(history)} epochs; "
           f"best val_loss={min(h['val_loss'] for h in history):.6f}; "
@@ -207,19 +223,14 @@ def _load_model(path: str, graph_path: str, g: gr.BipartiteGraph) -> md.ModelPar
     return params
 
 
-SCORE_DEFAULTS = {"fanout": 32, "seed": 0}
-
-
 def cmd_score(args) -> int:
-    cfg = _effective(args, SCORE_DEFAULTS)
+    values, tc = _resolve(args, SCORE_OPTIONS)
     g = gr.load_graph(_require(args.graph))
     params = _load_model(args.model, args.graph, g)
     new_txns = gr.load_transactions(_require(args.transactions))
-    tc = tr.TrainingConfig(fanout=_num(cfg, "fanout", int),
-                           seed=_num(cfg, "seed", int))
     results = tr.score_transactions(params, g, new_txns, tc)
     tr.write_results(args.out, results)
-    write_manifest(args.out + ".manifest.json", "score", cfg,
+    write_manifest(args.out + ".manifest.json", "score", values,
                    [args.graph, args.model, args.transactions], [args.out])
     cold = sum(r.cold_start for r in results)
     print(f"scored {len(results)} direction records "
@@ -228,6 +239,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    values, _ = _resolve(args, NO_OPTIONS)
     results = tr.read_results(_require(args.scores))
     labels = {lab.txn_id: lab.anomaly
               for lab in datagen.load_labels(_require(args.labels))}
@@ -266,7 +278,7 @@ def cmd_evaluate(args) -> int:
         with open(args.roc, "w", encoding="utf-8") as fh:
             fh.write(evaluation.export_roc(curve))
         outputs.append(args.roc)
-    write_manifest(args.out + ".manifest.json", "evaluate", {},
+    write_manifest(args.out + ".manifest.json", "evaluate", values,
                    [args.scores, args.labels], outputs)
     print(f"evaluated {report['n_transactions']} transactions: "
           f"auc={report['roc_auc']:.4f} ap={report['average_precision']:.4f}")
@@ -274,12 +286,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    cfg = _effective(args, {"layer": None})
-    layer = None if cfg["layer"] is None else _num(cfg, "layer", int)
+    values, _ = _resolve(args, EMBED_OPTIONS)
     g = gr.load_graph(_require(args.graph))
     params = _load_model(args.model, args.graph, g)
-    analytics.export_embeddings(params, g, args.out, layer=layer)
-    write_manifest(args.out + ".manifest.json", "embed", cfg,
+    analytics.export_embeddings(params, g, args.out, layer=values["layer"])
+    write_manifest(args.out + ".manifest.json", "embed", values,
                    [args.graph, args.model], [args.out])
     print(f"wrote embeddings for {g.n_customers + g.n_transactions} nodes "
           f"-> {args.out}")
@@ -287,15 +298,14 @@ def cmd_embed(args) -> int:
 
 
 def cmd_diverge(args) -> int:
-    cfg = _effective(args, {"threshold": analytics.DIVERGENCE_THRESHOLD})
-    threshold = _num(cfg, "threshold", float)
+    values, _ = _resolve(args, DIVERGE_OPTIONS)
     snapshots = []
     for path in args.embeddings:
         customers, _ = analytics.read_embeddings(_require(path))
         if not customers:
             raise IngestError(f"{path}: no customer embeddings")
         snapshots.append(customers)
-    report = analytics.divergence_report(snapshots, threshold=threshold)
+    report = analytics.divergence_report(snapshots, threshold=values["threshold"])
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in report:
             fh.write(json.dumps({
@@ -305,7 +315,7 @@ def cmd_diverge(args) -> int:
                 "similarity": [[float(v) for v in row]
                                for row in rec.similarity],
             }) + "\n")
-    write_manifest(args.out + ".manifest.json", "diverge", cfg,
+    write_manifest(args.out + ".manifest.json", "diverge", values,
                    list(args.embeddings), [args.out])
     n_div = sum(r.diverging for r in report)
     print(f"compared {len(report)} customers across {len(snapshots)} "
@@ -313,9 +323,18 @@ def cmd_diverge(args) -> int:
     return 0
 
 
-def _add_config_opt(p):
+def _command(sub, name: str, summary: str, func, options, *required: str):
+    """A subcommand with its required path flags, --config, and one flag
+    per entry of its option table."""
+    p = sub.add_parser(name, help=summary)
+    for flag in required:
+        p.add_argument(flag, required=True)
     p.add_argument("--config", default=None,
                    help="JSON file of option defaults (flags override)")
+    for flag, (kind, _, _) in options.table.items():
+        p.add_argument("--" + flag, type=kind, **_FLAG_EXTRAS.get(flag, {}))
+    p.set_defaults(func=func)
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,83 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"amlgraph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--out-dir", required=True)
-    _add_config_opt(p)
-    p.add_argument("--n-customers", type=int)
-    p.add_argument("--n-transactions", type=int)
-    p.add_argument("--n-communities", type=int)
-    p.add_argument("--d-customer", type=int)
-    p.add_argument("--d-transaction", type=int)
-    p.add_argument("--anomaly-rate", type=float)
-    p.add_argument("--external-rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--holdout-boundary", type=float,
-                   help="also write train/test transaction files split at "
-                        "this timestamp")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("build-graph", help="build and snapshot the graph")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--transactions", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_opt(p)
-    p.set_defaults(func=cmd_build_graph)
-
-    p = sub.add_parser("train", help="train the link-prediction model")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_opt(p)
-    p.add_argument("--encoder", choices=("gat", "sage", "gin"))
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--fanout", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--message-ratio", type=float)
-    p.add_argument("--supervision-ratio", type=float)
-    p.add_argument("--validation-ratio", type=float)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("score", help="anomaly-score new transactions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--transactions", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_opt(p)
-    p.add_argument("--fanout", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("evaluate", help="compare scores against truth labels")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
+    _command(sub, "gen-data", "generate a synthetic dataset", cmd_gen_data,
+             GEN_OPTIONS, "--out-dir")
+    _command(sub, "build-graph", "build and snapshot the graph", cmd_build_graph,
+             NO_OPTIONS, "--profiles", "--transactions", "--out")
+    _command(sub, "train", "train the link-prediction model", cmd_train,
+             TRAIN_OPTIONS, "--graph", "--out")
+    _command(sub, "score", "anomaly-score new transactions", cmd_score,
+             SCORE_OPTIONS, "--graph", "--model", "--transactions", "--out")
+    p = _command(sub, "evaluate", "compare scores against truth labels",
+                 cmd_evaluate, NO_OPTIONS, "--scores", "--labels", "--out")
     p.add_argument("--roc", default=None, help="also write the ROC curve here")
-    _add_config_opt(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("embed", help="export node embeddings")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--layer", type=int)
-    _add_config_opt(p)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("diverge", help="flag drifting customer embeddings")
+    _command(sub, "embed", "export node embeddings", cmd_embed, EMBED_OPTIONS,
+             "--graph", "--model", "--out")
+    p = _command(sub, "diverge", "flag drifting customer embeddings", cmd_diverge,
+                 DIVERGE_OPTIONS, "--out")
     p.add_argument("--embeddings", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float)
-    _add_config_opt(p)
-    p.set_defaults(func=cmd_diverge)
     return parser
 
 

@@ -162,6 +162,18 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x - mean) / std, mean, std
 
 
+def _feature_row(kind: str, rid: str, features, width: int) -> np.ndarray:
+    """`features` as a float row, refused unless it has `width` finite
+    values; the error names the record as `kind` (customer or
+    transaction) and its id."""
+    f = np.asarray(features, dtype=np.float64)
+    if f.shape != (width,):
+        raise IngestError(f"{kind} {rid!r} has {f.shape} features, expected ({width},)")
+    if not np.all(np.isfinite(f)):
+        raise IngestError(f"{kind} {rid!r} has non-finite features")
+    return f
+
+
 def build_graph(transactions: Sequence[RawTransaction],
                 profiles: Sequence[CustomerProfile]) -> BipartiteGraph:
     """Assemble the graph; node order is canonical (sorted by id)."""
@@ -177,12 +189,7 @@ def build_graph(transactions: Sequence[RawTransaction],
     d_c = len(profiles[0].features)
     raw_c = np.zeros((len(profiles), d_c))
     for i, p in enumerate(profiles):
-        f = np.asarray(p.features, dtype=np.float64)
-        if f.shape != (d_c,):
-            raise IngestError(f"customer {p.customer_id!r} has {f.shape} features, expected ({d_c},)")
-        if not np.all(np.isfinite(f)):
-            raise IngestError(f"customer {p.customer_id!r} has non-finite features")
-        raw_c[i] = f
+        raw_c[i] = _feature_row("customer", p.customer_id, p.features, d_c)
 
     transactions = sorted(transactions, key=lambda t: t.txn_id)
     tids = [t.txn_id for t in transactions]
@@ -197,12 +204,7 @@ def build_graph(transactions: Sequence[RawTransaction],
     i_dst = np.full(n_t, -1, dtype=np.int64)
     timestamps = np.zeros(n_t)
     for j, t in enumerate(transactions):
-        f = np.asarray(t.features, dtype=np.float64)
-        if f.shape != (d_t,):
-            raise IngestError(f"transaction {t.txn_id!r} has {f.shape} features, expected ({d_t},)")
-        if not np.all(np.isfinite(f)):
-            raise IngestError(f"transaction {t.txn_id!r} has non-finite features")
-        raw_t[j] = f
+        raw_t[j] = _feature_row("transaction", t.txn_id, t.features, d_t)
         timestamps[j] = float(t.timestamp)
         if not np.isfinite(timestamps[j]):
             raise IngestError(f"transaction {t.txn_id!r} has a non-finite timestamp")
@@ -254,12 +256,7 @@ def extend_graph(g: BipartiteGraph, transactions: Sequence[RawTransaction]
         if t.txn_id in g.txn_index or t.txn_id in seen:
             raise IngestError(f"transaction id {t.txn_id!r} already present")
         seen.add(t.txn_id)
-        f = np.asarray(t.features, dtype=np.float64)
-        if f.shape != (g.d_transaction,):
-            raise IngestError(f"transaction {t.txn_id!r} has {f.shape} features, "
-                              f"expected ({g.d_transaction},)")
-        if not np.all(np.isfinite(f)):
-            raise IngestError(f"transaction {t.txn_id!r} has non-finite features")
+        f = _feature_row("transaction", t.txn_id, t.features, g.d_transaction)
         rows.append(g.standardize_transaction_features(f))
         side = {}
         for name, cid in (("src", t.source_customer), ("dst", t.dest_customer)):
@@ -304,10 +301,6 @@ class EdgeSplit:
     message: dict
     supervision: dict
     validation: dict
-
-    def sets(self, direction: str):
-        return (self.message[direction], self.supervision[direction],
-                self.validation[direction])
 
 
 def split_edges(g: BipartiteGraph, ratios: tuple[float, float, float],

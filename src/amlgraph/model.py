@@ -199,9 +199,10 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
            ) -> tuple[Tensor, Tensor]:
     """Run all layers over the sampled structure; returns seed embeddings.
 
-    Inputs to the first layer are the (standardized) raw features of the
-    deepest required level; outputs are final-layer embeddings for the
-    level-0 nodes of each type, rows following the sorted seed arrays.
+    The subgraph must be exactly `num_layers` deep. Inputs to the first
+    layer are the (standardized) raw features of its deepest level;
+    outputs are final-layer embeddings for the level-0 nodes of each type,
+    rows following the sorted seed arrays.
     A layer's output rows are the first rows of its input (see
     `Subgraph`), so each self term reads `z[:n_out]`.
     `capture`, when a list, receives one (c_ids, z_c, t_ids, z_t,
@@ -211,18 +212,17 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
     edge_alpha[e, k] and self_alpha[i, k], and edge_dst[e] is e's output node.
     """
     L = params.num_layers
-    if sub.depth < L:
-        raise DimensionError(f"subgraph depth {sub.depth} < model layers {L}")
+    if sub.depth != L:
+        raise DimensionError(f"subgraph depth {sub.depth} != model layers {L}")
     if training and rng is None:
         raise ConfigError("training mode needs an rng for dropout")
-    start = L  # features enter at level L, outputs land at level 0
-    z_c = Tensor(x_c[sub.levels_c[start]])
-    z_t = Tensor(x_t[sub.levels_t[start]])
+    # features enter at level L, outputs land at level 0
+    z_c = Tensor(x_c[sub.levels_c[L]])
+    z_t = Tensor(x_t[sub.levels_t[L]])
     dest_fn = _DEST_FN[params.kind]
     for i in range(L):
-        j = sub.depth - L + i
-        edges = sub.layers[j]
-        out_level = sub.depth - 1 - j
+        edges = sub.layers[i]
+        out_level = L - 1 - i
         n_c_out = len(sub.levels_c[out_level])
         n_t_out = len(sub.levels_t[out_level])
         p = params.layers[i]

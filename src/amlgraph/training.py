@@ -22,6 +22,7 @@ draws one sampler seed from its rng; every inference path samples at
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -291,18 +292,12 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
         chunks = []
         for d in DIRECTIONS:
             sup = split.supervision[d]
-            if sup.size == 0:
-                chunks.append([])
-                continue
-            perm = rng.permutation(sup)
+            perm = rng.permutation(sup) if sup.size else sup
             chunks.append([(d, perm[lo:lo + config.batch_size])
                            for lo in range(0, sup.size, config.batch_size)])
         # alternate outgoing, incoming, ...; leftovers of the longer side last
-        interleaved = []
-        for pair in zip(*chunks) if all(chunks) else ():
-            interleaved.extend(pair)
-        longer = max(chunks, key=len)
-        interleaved.extend(longer[min(len(c) for c in chunks):])
+        interleaved = [b for pair in itertools.zip_longest(*chunks)
+                       for b in pair if b is not None]
 
         losses = []
         for d, batch in interleaved:

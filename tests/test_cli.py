@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import amlgraph.datagen as dg
 import amlgraph.graph as gr
 import amlgraph.model as md
+from amlgraph import cli
 from amlgraph.cli import main
 
 
@@ -243,6 +246,63 @@ class TestConfigFile:
                    "--config", str(cfg)) == 1
 
 
+# each command's option table and the path flags its parser requires
+COMMANDS = {
+    "gen-data": (cli.GEN_OPTIONS, ["--out-dir", "d"]),
+    "build-graph": (cli.NO_OPTIONS, ["--profiles", "p", "--transactions", "t",
+                                     "--out", "g"]),
+    "train": (cli.TRAIN_OPTIONS, ["--graph", "g", "--out", "m"]),
+    "score": (cli.SCORE_OPTIONS, ["--graph", "g", "--model", "m",
+                                  "--transactions", "t", "--out", "s"]),
+    "evaluate": (cli.NO_OPTIONS, ["--scores", "s", "--labels", "l", "--out", "r"]),
+    "embed": (cli.EMBED_OPTIONS, ["--graph", "g", "--model", "m", "--out", "e"]),
+    "diverge": (cli.DIVERGE_OPTIONS, ["--embeddings", "a", "b", "--out", "d"]),
+}
+OPTION_CASES = [(command, flag) for command, (options, _) in COMMANDS.items()
+                for flag in options.table]
+
+
+def _two_values(kind, default):
+    """Two valid values of an option, both unlike its default."""
+    if kind is str:
+        return tuple(k for k in md.KINDS if k != default)[:2]
+    if kind is int:
+        return (default or 0) + 1, (default or 0) + 2
+    return 0.25, 0.125
+
+
+class TestOptionTables:
+    def test_every_command_covered(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command,flag", OPTION_CASES,
+                             ids=[f"{c}-{f}" for c, f in OPTION_CASES])
+    def test_default_then_file_then_flag(self, tmp_path, command, flag):
+        """The declared default (a field's is the dataclass default), then
+        a --config value, then the flag; the built config holds the result."""
+        options, paths = COMMANDS[command]
+        kind, default, field = options.table[flag]
+        if field is not None:
+            declared = {f.name: f.default for f in dataclasses.fields(options.config)}
+            assert default == declared[field]
+        file_value, flag_value = _two_values(kind, default)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({flag: file_value}))
+        for extra, expected in (
+                ([], default),
+                (["--config", str(cfg_path)], file_value),
+                (["--config", str(cfg_path), f"--{flag}", str(flag_value)],
+                 flag_value)):
+            args = cli.build_parser().parse_args([command, *paths, *extra])
+            values, config = cli._resolve(args, options)
+            assert values[flag] == expected
+            assert type(values[flag]) is (type(None) if expected is None else kind)
+            if field is not None:
+                assert getattr(config, field) == expected
+
+
 class TestExitCodes:
     def test_mistyped_train_config_is_1(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -363,6 +423,17 @@ class TestExitCodes:
     def test_config_error_is_1(self, tmp_path):
         assert run("gen-data", "--out-dir", str(tmp_path / "d"),
                    "--n-customers", "1") == 1
+
+    @pytest.mark.parametrize("flags,body", [
+        (["--n-customers", "1"], None), ([], {"seed": "a"})],
+        ids=["invalid-config", "mistyped-config"])
+    def test_gen_data_config_error_creates_nothing(self, tmp_path, flags, body):
+        if body is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(body))
+            flags = flags + ["--config", str(cfg)]
+        assert run("gen-data", "--out-dir", str(tmp_path / "x" / "y"), *flags) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_missing_input_is_2(self, tmp_path):
         assert run("build-graph", "--profiles", "/nonexistent.jsonl",

@@ -30,10 +30,9 @@ def load_train_config(path):
     A config that gets through holds finite numbers only."""
     args = cli.build_parser().parse_args(
         ["train", "--graph", "graph.bin", "--out", "model.bin", "--config", path])
-    cfg = cli._effective(args, cli.TRAIN_DEFAULTS)
-    config = cli._training_config(cfg)
+    values, config = cli._resolve(args, cli.TRAIN_OPTIONS)
     config.validate()
-    ratios = [cli._num(cfg, key, float)
+    ratios = [values[key]
               for key in ("message-ratio", "supervision-ratio", "validation-ratio")]
     numbers = [v for v in dataclasses.astuple(config) if not isinstance(v, str)]
     assert all(math.isfinite(v) for v in numbers + ratios)
