@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 from .errors import (AmlGraphError, ConfigError, DimensionError, IngestError,
                      MetricError, NumericalError, SamplingError)
 from .graph import (EXTERNAL, INCOMING, OUTGOING, BipartiteGraph,
-                    CustomerProfile, RawTransaction, build_graph, extend_graph,
-                    load_graph, sample_negatives, sample_neighborhood,
-                    save_graph, split_edges)
+                    CustomerProfile, RawTransaction, build_graph, load_graph,
+                    sample_negatives, sample_neighborhood, save_graph,
+                    split_edges)
 from .model import (anomaly_score, decode, encode, init_params, load_model,
                     save_model)
 from .training import (AnomalyResult, TrainingConfig, fit, link_loss,
@@ -21,7 +21,7 @@ __all__ = [
     "AmlGraphError", "ConfigError", "DimensionError", "IngestError",
     "MetricError", "NumericalError", "SamplingError",
     "EXTERNAL", "INCOMING", "OUTGOING", "BipartiteGraph", "CustomerProfile",
-    "RawTransaction", "build_graph", "extend_graph", "load_graph",
+    "RawTransaction", "build_graph", "load_graph",
     "sample_negatives", "sample_neighborhood", "save_graph", "split_edges",
     "anomaly_score", "decode", "encode", "init_params", "load_model",
     "save_model",

@@ -79,12 +79,12 @@ class BipartiteGraph:
     adjacency is kept in CSR form with neighbor lists sorted ascending.
     The id -> index dicts ``customer_index`` and ``txn_index`` are built on
     first use, so a graph that is never looked up by id never pays for them.
-    ``_adjacency`` (out_indptr, out_indices, in_indptr, in_indices) lets
-    `extend_graph` hand over CSR arrays it spliced instead of a rebuild.
+    New transactions are scored against a graph as it stands: they are
+    resolved into a block (`resolve_transactions`), never appended.
     """
 
     def __init__(self, customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
-                 timestamps, stats, _adjacency=None):
+                 timestamps, stats):
         self.customer_ids: tuple[str, ...] = tuple(customer_ids)
         self.txn_ids: tuple[str, ...] = tuple(txn_ids)
         self.x_c = x_c
@@ -93,9 +93,8 @@ class BipartiteGraph:
         self.i_dst = i_dst
         self.timestamps = timestamps
         self.stats = stats  # raw-space feature means/stds, keys c_mean/c_std/t_mean/t_std
-        if _adjacency is None:
-            _adjacency = _csr(o_src, self.n_customers) + _csr(i_dst, self.n_customers)
-        self.out_indptr, self.out_indices, self.in_indptr, self.in_indices = _adjacency
+        self.out_indptr, self.out_indices = _csr(o_src, self.n_customers)
+        self.in_indptr, self.in_indices = _csr(i_dst, self.n_customers)
 
     @functools.cached_property
     def customer_index(self) -> dict[str, int]:
@@ -134,25 +133,14 @@ class BipartiteGraph:
         return (raw - self.stats["t_mean"]) / self.stats["t_std"]
 
 
-def _append_csr(indptr: np.ndarray, indices: np.ndarray, owners: np.ndarray,
-                txns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New CSR arrays with edges owners[k] -> txns[k] added; inputs untouched.
-
-    `txns` must be ascending and larger than every index already stored:
-    each edge then goes at the end of its owner's row (a stable sort by
-    owner keeps equal owners in `txns` order), so rows stay sorted.
-    """
-    order = np.argsort(owners, kind="stable")
-    owners, txns = owners[order], txns[order]
-    new_indptr = indptr.copy()
-    new_indptr[1:] += np.cumsum(np.bincount(owners, minlength=len(indptr) - 1))
-    return new_indptr, np.insert(indices, indptr[owners + 1], txns)
-
-
 def _csr(endpoint: np.ndarray, n_customers: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices): each customer's transactions, ascending (a stable
+    sort by customer keeps the transactions of one customer in order)."""
     txns = np.flatnonzero(endpoint >= 0).astype(np.int64)
-    return _append_csr(np.zeros(n_customers + 1, dtype=np.int64),
-                       np.empty(0, dtype=np.int64), endpoint[txns], txns)
+    owners = endpoint[txns]
+    indptr = np.zeros(n_customers + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(owners, minlength=n_customers))
+    return indptr, txns[np.argsort(owners, kind="stable")]
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,6 +159,18 @@ def _feature_row(kind: str, rid: str, features, width: int) -> np.ndarray:
         raise IngestError(f"{kind} {rid!r} has {f.shape} features, expected ({width},)")
     if not np.all(np.isfinite(f)):
         raise IngestError(f"{kind} {rid!r} has non-finite features")
+    return f
+
+
+def _transaction_row(t: RawTransaction, width: int) -> np.ndarray:
+    """The record check of every transaction, built or scored: its
+    features as a float row (see `_feature_row`), refused unless its
+    timestamp is finite and one side at least is not EXTERNAL."""
+    f = _feature_row("transaction", t.txn_id, t.features, width)
+    if not np.isfinite(float(t.timestamp)):
+        raise IngestError(f"transaction {t.txn_id!r} has a non-finite timestamp")
+    if t.source_customer == EXTERNAL and t.dest_customer == EXTERNAL:
+        raise IngestError(f"transaction {t.txn_id!r} has no known endpoint")
     return f
 
 
@@ -204,12 +204,8 @@ def build_graph(transactions: Sequence[RawTransaction],
     i_dst = np.full(n_t, -1, dtype=np.int64)
     timestamps = np.zeros(n_t)
     for j, t in enumerate(transactions):
-        raw_t[j] = _feature_row("transaction", t.txn_id, t.features, d_t)
+        raw_t[j] = _transaction_row(t, d_t)
         timestamps[j] = float(t.timestamp)
-        if not np.isfinite(timestamps[j]):
-            raise IngestError(f"transaction {t.txn_id!r} has a non-finite timestamp")
-        if t.source_customer == EXTERNAL and t.dest_customer == EXTERNAL:
-            raise IngestError(f"transaction {t.txn_id!r} has no known endpoint")
         for side, cid, arr in (("source", t.source_customer, o_src),
                                ("dest", t.dest_customer, i_dst)):
             if cid == EXTERNAL:
@@ -224,68 +220,33 @@ def build_graph(transactions: Sequence[RawTransaction],
     return BipartiteGraph(ids, tids, x_c, x_t, o_src, i_dst, timestamps, stats)
 
 
-@dataclass(frozen=True)
-class ExtendedTransaction:
-    """Resolution of one appended transaction against the reference graph."""
-    txn_id: str
-    txn_index: int
-    src_index: int | None       # None when EXTERNAL or unknown
-    dst_index: int | None
-    src_cold: bool              # named a customer the graph does not know
-    dst_cold: bool
+def resolve_transactions(g: BipartiteGraph, transactions: Sequence[RawTransaction]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New transactions as a block against the reference graph, which
+    stays untouched: (features, ends, cold).
 
-
-def extend_graph(g: BipartiteGraph, transactions: Sequence[RawTransaction]
-                 ) -> tuple[BipartiteGraph, list[ExtendedTransaction]]:
-    """Append transaction nodes, keeping the reference graph untouched.
-
-    New features are standardized with the reference statistics. Unknown
-    (non-EXTERNAL) customers produce no edge and a cold flag instead of a
-    failure. New nodes take indices n_transactions .. in input order.
-
-    The cost is O(new transactions) plus one copy of each array: the new
-    edges are spliced onto the end of their owners' CSR rows, which keeps
-    every row sorted because the new indices exceed all existing ones, and
-    the extended graph's id -> index dicts are only built if looked up.
+    Row k is transaction k: its features standardized with the reference
+    statistics, its (source, dest) customer indices (-1 for EXTERNAL or a
+    customer the graph does not know) and its (source, dest) cold flags (a
+    customer the graph does not know). Each transaction passes
+    `build_graph`'s record check, and an id already in the graph or
+    repeated raises IngestError.
     """
-    n0 = g.n_transactions
     seen = set()
-    rows, infos = [], []
-    o_new, i_new, ts_new, tid_new = [], [], [], []
+    raw = np.zeros((len(transactions), g.d_transaction))
+    ends = np.full((len(transactions), 2), -1, dtype=np.int64)
+    cold = np.zeros((len(transactions), 2), dtype=bool)
     for k, t in enumerate(transactions):
         if t.txn_id in g.txn_index or t.txn_id in seen:
             raise IngestError(f"transaction id {t.txn_id!r} already present")
         seen.add(t.txn_id)
-        f = _feature_row("transaction", t.txn_id, t.features, g.d_transaction)
-        rows.append(g.standardize_transaction_features(f))
-        side = {}
-        for name, cid in (("src", t.source_customer), ("dst", t.dest_customer)):
-            if cid == EXTERNAL:
-                side[name] = (None, False)
-            elif cid in g.customer_index:
-                side[name] = (g.customer_index[cid], False)
+        raw[k] = _transaction_row(t, g.d_transaction)
+        for side, cid in enumerate((t.source_customer, t.dest_customer)):
+            if cid in g.customer_index:
+                ends[k, side] = g.customer_index[cid]
             else:
-                side[name] = (None, True)
-        (src_i, src_cold), (dst_i, dst_cold) = side["src"], side["dst"]
-        infos.append(ExtendedTransaction(t.txn_id, n0 + k, src_i, dst_i, src_cold, dst_cold))
-        o_new.append(-1 if src_i is None else src_i)
-        i_new.append(-1 if dst_i is None else dst_i)
-        ts_new.append(float(t.timestamp))
-        tid_new.append(t.txn_id)
-
-    x_t = np.vstack([g.x_t] + [r[None, :] for r in rows]) if rows else g.x_t
-    o_new = np.asarray(o_new, dtype=np.int64)
-    i_new = np.asarray(i_new, dtype=np.int64)
-    new_txns = np.arange(n0, n0 + len(tid_new), dtype=np.int64)
-    has_out, has_in = o_new >= 0, i_new >= 0
-    adjacency = (_append_csr(g.out_indptr, g.out_indices, o_new[has_out], new_txns[has_out])
-                 + _append_csr(g.in_indptr, g.in_indices, i_new[has_in], new_txns[has_in]))
-    g2 = BipartiteGraph(
-        g.customer_ids, g.txn_ids + tuple(tid_new), g.x_c, x_t,
-        np.concatenate([g.o_src, o_new]), np.concatenate([g.i_dst, i_new]),
-        np.concatenate([g.timestamps, np.asarray(ts_new)]),
-        g.stats, _adjacency=adjacency)
-    return g2, infos
+                cold[k, side] = cid != EXTERNAL
+    return g.standardize_transaction_features(raw), ends, cold
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +400,24 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     return np.repeat(owners_frontier, new_counts), nbrs[keep], new_counts
 
 
-def _filter_removed(nbrs, counts, removed, exposed=None):
-    """Drop the edges to `removed` transactions, except each owner's edge to
-    `exposed[owner]` (one transaction per owner, -1 for none)."""
+def _filter_removed(nbrs, counts, removed):
+    """Drop the edges to `removed` transactions."""
     if removed is None:
         return nbrs, counts
     keep = ~removed[nbrs]
-    if exposed is not None:
-        keep |= nbrs == np.repeat(exposed, counts)
     if keep.all():
         return nbrs, counts
     owner_pos = np.repeat(np.arange(len(counts)), counts)
     new_counts = np.bincount(owner_pos[keep], minlength=len(counts))
     return nbrs[keep], new_counts
+
+
+def _append_edge(nbrs, counts, owns, txns):
+    """Add the edge to txns[r] at the end of each row r where owns[r]."""
+    at = np.flatnonzero(owns)
+    if not len(at):
+        return nbrs, counts
+    return np.insert(nbrs, np.cumsum(counts)[at], txns[at]), counts + owns
 
 
 # (source, destination) node type of each relation
@@ -502,34 +468,38 @@ def _check_sampling(fanout, num_layers, seed) -> None:
         raise ConfigError(f"need at least one layer, got {num_layers}")
 
 
-def _sample(g, keys_c, keys_t, fanout, num_layers, seed, removed_out,
-            removed_in, exposed=None):
-    """The hop loop of both samplers, over node keys part * n + id (n the
-    node count of the key's type), so the sample is the block-diagonal
-    union of each part's sample. Each hop appends the keys it reaches
-    first, sorted, so within a hop's block nodes go by (part, id).
+def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
+            removed_in=None, appended=None):
+    """The hop loop of both samplers, over node keys part * n + id (n past
+    every id of the key's type), so the sample is the block-diagonal union
+    of each part's sample. Each hop appends the keys it reaches first,
+    sorted, so within a hop's block nodes go by (part, id).
 
-    `exposed` is None for a one-part sample: a key is the node id and the
-    row maps are dense. For several parts it is (out, in): per part, the
-    one transaction whose edge of that direction survives `removed_*` (-1
-    for none). Returns the Subgraph and the part of each customer and
-    transaction row (None for one part).
+    `appended` is None for a one-part sample: a key is the node id and the
+    row maps are dense. Otherwise it is (owner_out, owner_in), and part p
+    is seeded with seeds_t[p] alone: a transaction past the graph's, whose
+    edge of each direction joins customer owner_*[p] (-1 for none) and
+    ends that customer's row. Returns the Subgraph and the part of each
+    customer and transaction row (None for one part).
     """
     n_c, n_t = g.n_customers, g.n_transactions
-    several = exposed is not None
-    exposed_out, exposed_in = exposed if several else (None, None)
+    several = appended is not None
+    owner_out, owner_in = appended if several else (None, None)
 
     def split(keys, n):
         """(part, id) of each key; the part is None for one part."""
         return np.divmod(keys, n) if several else (None, keys)
 
+    keys_t = seeds_t
     if several:
+        n_t = max(n_t, int(seeds_t.max(initial=-1)) + 1)
+        keys_t = np.arange(len(seeds_t), dtype=np.int64) * n_t + seeds_t
         row_c, row_t = _SortedRows(), _SortedRows()
     else:
         row_c = np.full(n_c, -1, dtype=np.int64)
         row_t = np.full(n_t, -1, dtype=np.int64)
     blocks_c, blocks_t = [], []
-    front_c = _grow(row_c, blocks_c, [keys_c])
+    front_c = _grow(row_c, blocks_c, [seeds_c])
     front_t = _grow(row_t, blocks_t, [keys_t])
     # per relation, the (customer keys, transaction keys) of each hop's edges
     found = {rel: [] for rel in RELATIONS}
@@ -537,27 +507,32 @@ def _sample(g, keys_c, keys_t, fanout, num_layers, seed, removed_out,
     for _ in range(num_layers):
         part_c, ids_c = split(front_c, n_c)
         part_t, ids_t = split(front_t, n_t)
-        for rel, indptr, indices, removed, visible in (
-                (OUT_REV, g.out_indptr, g.out_indices, removed_out, exposed_out),
-                (IN_FWD, g.in_indptr, g.in_indices, removed_in, exposed_in)):
+        for rel, indptr, indices, removed, owner in (
+                (OUT_REV, g.out_indptr, g.out_indices, removed_out, owner_out),
+                (IN_FWD, g.in_indptr, g.in_indices, removed_in, owner_in)):
             nbrs, counts = _flat_neighbors(indptr, indices, ids_c)
-            nbrs, counts = _filter_removed(nbrs, counts, removed,
-                                           visible[part_c] if several else None)
+            nbrs, counts = _filter_removed(nbrs, counts, removed)
+            if several:
+                nbrs, counts = _append_edge(nbrs, counts, ids_c == owner[part_c],
+                                            seeds_t[part_c])
             owners, nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed,
                                         RELATIONS.index(rel))
             if several:
                 owners = np.repeat(front_c, counts)
                 nbrs = nbrs + np.repeat(part_c * n_t, counts)
             found[rel].append((owners, nbrs))
-        for rel, ends, removed, visible in ((OUT_FWD, g.o_src, removed_out, exposed_out),
-                                            (IN_REV, g.i_dst, removed_in, exposed_in)):
-            keep = ends[ids_t] >= 0
-            if removed is not None:
-                alive = ~removed[ids_t]
-                if several:
-                    alive |= ids_t == visible[part_t]
-                keep &= alive
-            custs = ends[ids_t[keep]]
+        for rel, ends, removed, owner in ((OUT_FWD, g.o_src, removed_out, owner_out),
+                                          (IN_REV, g.i_dst, removed_in, owner_in)):
+            if several:   # a transaction past the graph's is its part's seed
+                custs = owner[part_t]
+                ref = ids_t < g.n_transactions
+                custs[ref] = ends[ids_t[ref]]
+            else:
+                custs = ends[ids_t]
+                if removed is not None:
+                    custs = np.where(removed[ids_t], -1, custs)
+            keep = custs >= 0
+            custs = custs[keep]
             if several:
                 custs = custs + part_t[keep] * n_c
             found[rel].append((custs, front_t[keep]))
@@ -608,17 +583,20 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
                    removed_out, removed_in)[0]
 
 
-def sample_records(g: BipartiteGraph, txns, directions, n_reference: int,
+def sample_records(g: BipartiteGraph, txns, directions, counterparts,
                    fanout: int, num_layers: int, seed
                    ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
     """Sample many scored records in one pass, as one block-diagonal union.
 
-    Part p is seeded with transaction txns[p], whose edge in directions[p]
-    it predicts. Every transaction from index `n_reference` on is absent,
-    except that part p sees the edge of txns[p] in the other direction. So
-    part p has the nodes, edges and edge order of
-    `sample_neighborhood_nodes(g, [], [txns[p]], ...)` with those removal
-    masks: `_cap` hashes node ids, not part keys.
+    Part p is the graph `g` plus one transaction, txns[p] (an index from
+    g.n_transactions on: n_transactions + k for the k-th row of a
+    `resolve_transactions` block), and seeded with it. The record predicts
+    its edge in directions[p], so the part holds only its other edge, to
+    customer counterparts[p] (-1 for none), at the end of that customer's
+    row. So part p has the nodes, edges and edge order of
+    `sample_neighborhood_nodes(g2, [], [txns[p]], ...)` on `g` rebuilt
+    with that one transaction and edge: `_cap` hashes node ids, not part
+    keys.
 
     The union is hop-major: the parts' seeds, then each hop's newly reached
     nodes, sorted by (part, node) within the hop, so its levels are
@@ -628,20 +606,22 @@ def sample_records(g: BipartiteGraph, txns, directions, n_reference: int,
     """
     _check_sampling(fanout, num_layers, seed)
     txns = np.asarray(txns, dtype=np.int64).ravel()
-    if len(directions) != len(txns):
-        raise ConfigError(f"{len(txns)} record transactions but "
-                          f"{len(directions)} directions")
+    counterparts = np.asarray(counterparts, dtype=np.int64).ravel()
+    if not len(txns) == len(directions) == len(counterparts):
+        raise ConfigError(f"{len(txns)} record transactions, {len(directions)} "
+                          f"directions and {len(counterparts)} counterparts")
     for direction in set(directions):
         check_direction(direction)
-    if len(txns) and (txns.min() < n_reference or txns.max() >= g.n_transactions):
-        raise ConfigError("record transaction index outside the appended range")
+    if len(txns) and txns.min() < g.n_transactions:
+        raise ConfigError("record transaction index inside the reference graph")
+    if len(txns) and (counterparts.min() < -1 or counterparts.max() >= g.n_customers):
+        raise ConfigError("counterpart customer index out of range")
+    # the counterpart edge is the direction not predicted
     predicts_out = np.array([d == OUTGOING for d in directions], dtype=bool)
-    removed = np.zeros(g.n_transactions, dtype=bool)
-    removed[n_reference:] = True
-    exposed = (np.where(predicts_out, -1, txns), np.where(predicts_out, txns, -1))
-    keys_t = np.arange(len(txns), dtype=np.int64) * g.n_transactions + txns
-    return _sample(g, np.empty(0, dtype=np.int64), keys_t, fanout, num_layers,
-                   seed, removed, removed, exposed)
+    owners = (np.where(predicts_out, -1, counterparts),
+              np.where(predicts_out, counterparts, -1))
+    return _sample(g, np.empty(0, dtype=np.int64), txns, fanout, num_layers,
+                   seed, appended=owners)
 
 
 def chunk_parts(sub: Subgraph, parts, max_rows: int):

@@ -6,10 +6,12 @@ of that, every step severs the predicted direction's real edges for all
 transactions in the batch (negatives included), so a prediction can
 never peek at the edge it is asked to make.
 
-Scoring attaches each new transaction to the reference graph on its
-own: the predicted direction is severed, the transaction embedding is
-computed through the sampled neighborhood, and it is decoded against
-the counterpart customer's embedding from the reference graph alone.
+Scoring leaves the reference graph as it is. Each record sees it plus
+its own transaction and that transaction's counterpart (non-predicted)
+edge: the transaction embedding is computed through that sampled
+neighborhood and decoded against the predicted customer's embedding from
+the reference graph alone. New transactions pass `build_graph`'s record
+check.
 A block of records is sampled in one call, as the block-diagonal union of
 their samples, and encoded in chunks of whole records; each record's
 result is bit-identical to sampling and encoding it alone.
@@ -33,7 +35,7 @@ from .errors import ConfigError, NumericalError
 from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
                     RawTransaction, as_rng, check_direction, chunk_parts,
-                    extend_graph, read_records, sample_negatives,
+                    read_records, resolve_transactions, sample_negatives,
                     sample_neighborhood, sample_neighborhood_nodes,
                     sample_records)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
@@ -388,10 +390,12 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
                        config: TrainingConfig) -> list[AnomalyResult]:
     """Anomaly-score each direction of each new transaction.
 
-    Transactions are scored independently: the scored transaction is
-    attached by its counterpart (non-predicted) edge only, other new
-    transactions stay invisible, and the customer side of the decoder
-    comes from the reference graph without any new transaction. Every
+    Transactions are scored independently: a record sees the reference
+    graph `g` plus its transaction, attached by its counterpart
+    (non-predicted) edge only, so other new transactions stay invisible;
+    the customer side of the decoder comes from `g` alone, and `g` is not
+    changed. A transaction `build_graph` would refuse, or whose id is in
+    `g` or repeated, raises IngestError (`resolve_transactions`). Every
     sample is drawn at `config.seed` and is a function of the node and its
     surviving edges alone. Up to `_SCORE_CHUNK_ROWS` records are sampled in
     one `sample_records` call, each record its own part of a block-diagonal
@@ -402,51 +406,48 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     """
     if not new_transactions:
         return []
-    ext_g, infos = extend_graph(g, new_transactions)
+    x_new, ends, cold = resolve_transactions(g, new_transactions)
 
     # the decoder's customer side: final-layer embeddings over the reference graph
-    needed = np.array(sorted({i for info in infos for i in (info.src_index, info.dst_index)
-                              if i is not None}), dtype=np.int64)
+    needed = np.unique(ends[ends >= 0])
     ref_sub = sample_neighborhood_nodes(g, needed, [], config.fanout,
                                         params.num_layers, config.seed)
     z_ref, _ = encode(params, ref_sub, g.x_c, g.x_t)
     ref = dict(zip(needed.tolist(), z_ref.data[ref_sub.seed_positions_c(needed)]))
-    # (txn info, direction, customer id, customer index or None when cold)
-    records = []
-    for info in infos:
-        raw = new_transactions[info.txn_index - g.n_transactions]
-        for direction, cust_idx, cold, cust_id in (
-                (OUTGOING, info.src_index, info.src_cold, raw.source_customer),
-                (INCOMING, info.dst_index, info.dst_cold, raw.dest_customer)):
-            if cust_idx is None and not cold:
-                continue  # EXTERNAL side: no edge to predict
-            records.append((info, direction, cust_id, None if cold else cust_idx))
-
+    # (transaction row, direction, side: 0 source or 1 dest, customer id);
+    # an EXTERNAL side has no edge to predict
+    records = [(k, direction, side, cust_id)
+               for k, t in enumerate(new_transactions)
+               for side, direction, cust_id in ((0, OUTGOING, t.source_customer),
+                                                (1, INCOMING, t.dest_customer))
+               if ends[k, side] >= 0 or cold[k, side]]
     y_hat = np.full(len(records), np.nan)
-    warm = [k for k, record in enumerate(records) if record[3] is not None]
+    warm = [j for j, (k, _, side, _) in enumerate(records) if not cold[k, side]]
+    x_t = np.vstack([g.x_t, x_new])
     # every record has an input row, so a block fills at least one chunk
     for lo in range(0, len(warm), _SCORE_CHUNK_ROWS):
-        block = warm[lo:lo + _SCORE_CHUNK_ROWS]
+        block = [records[j] for j in warm[lo:lo + _SCORE_CHUNK_ROWS]]
         union, parts = sample_records(
-            ext_g, [records[k][0].txn_index for k in block],
-            [records[k][1] for k in block], g.n_transactions, config.fanout,
+            g, [g.n_transactions + k for k, _, _, _ in block],
+            [direction for _, direction, _, _ in block],
+            [ends[k, 1 - side] for k, _, side, _ in block], config.fanout,
             params.num_layers, config.seed)
         for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
-            _, z_t = encode(params, chunk, ext_g.x_c, ext_g.x_t)
+            _, z_t = encode(params, chunk, g.x_c, x_t)
             # a chunk's level 0 is its records' transactions, in order
-            z_cust = Tensor(np.stack([ref[records[k][3]] for k in block[a:b]]))
-            y_hat[block[a:b]] = decode(params.w_dec, z_cust, z_t).data[:, 0]
+            z_cust = Tensor(np.stack([ref[ends[k, side]] for k, _, side, _ in block[a:b]]))
+            y_hat[warm[lo + a:lo + b]] = decode(params.w_dec, z_cust, z_t).data[:, 0]
     if not np.all(np.isfinite(y_hat[warm])):
         raise NumericalError("a score is not finite: the model, graph or "
                              "transactions hold values too large to encode")
 
     results = []
-    for (info, direction, cust_id, cust_idx), y in zip(records, y_hat.tolist()):
-        if cust_idx is None:
-            results.append(AnomalyResult(info.txn_id, direction, cust_id,
-                                         None, None, True))
+    for (k, direction, side, cust_id), y in zip(records, y_hat.tolist()):
+        txn_id = new_transactions[k].txn_id
+        if cold[k, side]:
+            results.append(AnomalyResult(txn_id, direction, cust_id, None, None, True))
         else:
-            results.append(AnomalyResult(info.txn_id, direction, cust_id,
+            results.append(AnomalyResult(txn_id, direction, cust_id,
                                          y, float(anomaly_score(y)), False))
     return results
 

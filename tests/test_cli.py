@@ -440,6 +440,33 @@ class TestExitCodes:
                    "--transactions", "/nonexistent.jsonl",
                    "--out", str(tmp_path / "g.bin")) == 2
 
+    @pytest.mark.parametrize("source,dest,timestamp", [
+        ("c000001", "c000002", "NaN"), ("EXTERNAL", "EXTERNAL", "99.0")],
+        ids=["nan-timestamp", "both-external"])
+    def test_score_refuses_what_build_graph_refuses_2(self, pipeline, tmp_path,
+                                                      capsys, source, dest,
+                                                      timestamp):
+        """`score` exits 2 on a record `build-graph` refuses, with
+        `build-graph`'s one-line message and no output file."""
+        new = tmp_path / "new.jsonl"
+        new.write_text('{"txn_id": "bad0", "source": "%s", "dest": "%s", '
+                       '"timestamp": %s, "features": [0.0, 0.0, 0.0, 0.0]}\n'
+                       % (source, dest, timestamp))
+        errors = []
+        for command, inputs in (
+                ("build-graph", ["--profiles",
+                                 os.path.join(pipeline["data"], "profiles.jsonl")]),
+                ("score", ["--graph", pipeline["graph"], "--model",
+                           pipeline["model"]])):
+            out = tmp_path / f"{command}.out"
+            assert run(command, *inputs, "--transactions", str(new),
+                       "--out", str(out)) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "'bad0'" in err
+            errors.append(err)
+        assert errors[0] == errors[1]
+
     def test_bad_ratios_are_1(self, pipeline, tmp_path):
         assert run("train", "--graph", pipeline["graph"],
                    "--out", str(tmp_path / "m.bin"),

@@ -543,94 +543,20 @@ class TestSever:
         assert subgraphs_equal(a, b)
 
 
-class TestExtend:
-    def test_append_and_flags(self):
+class TestResolve:
+    def test_block_and_flags(self):
         g = toy_graph()
         new = [gr.RawTransaction("x0", "c0", "c3", 60.0, np.array([5.0, 5.0])),
                gr.RawTransaction("x1", "ghost", "c1", 61.0, np.array([1.0, 2.0])),
                gr.RawTransaction("x2", "EXTERNAL", "c2", 62.0, np.array([0.0, 0.0]))]
-        g2, infos = gr.extend_graph(g, new)
-        assert g2.n_transactions == g.n_transactions + 3
-        assert g.n_transactions == 5  # original untouched
-        assert infos[0].src_index == g.customer_index["c0"] and not infos[0].src_cold
-        assert infos[1].src_index is None and infos[1].src_cold
-        assert infos[2].src_index is None and not infos[2].src_cold
-        np.testing.assert_allclose(
-            g2.x_t[infos[0].txn_index],
-            (np.array([5.0, 5.0]) - g.stats["t_mean"]) / g.stats["t_std"])
-
-    def test_duplicate_new_id_rejected(self):
-        g = toy_graph()
-        with pytest.raises(IngestError):
-            gr.extend_graph(g, [gr.RawTransaction("t0", "c0", "c1", 0.0,
-                                                  np.array([0.0, 0.0]))])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_features_rejected(self, bad):
-        g = toy_graph()
-        with pytest.raises(IngestError, match="non-finite"):
-            gr.extend_graph(g, [gr.RawTransaction("x0", "c0", "c1", 0.0,
-                                                  np.array([1.0, bad]))])
-
-    @given(data_seed=st.integers(0, 2 ** 32 - 1), n_new=st.integers(0, 8),
-           hub_share=st.floats(0.0, 1.0))
-    @settings(max_examples=80, deadline=None)
-    def test_splice_equals_rebuild(self, data_seed, n_new, hub_share):
-        rng = np.random.default_rng(data_seed)
-        txns, profiles = random_records(rng, n_c=6, n_t=int(rng.integers(1, 30)))
-        g = gr.build_graph(txns, profiles)
-        hub = f"c{int(rng.integers(0, 6)):02d}"
-
-        def side():
-            # repeated hub customer, any known customer, cold or EXTERNAL
-            if rng.random() < hub_share:
-                return hub
-            return str(rng.choice([f"c{int(rng.integers(0, 6)):02d}", "ghost",
-                                   gr.EXTERNAL]))
-
-        new = [gr.RawTransaction(f"x{k}", side(), side(), float(k),
-                                 rng.normal(size=g.d_transaction))
-               for k in range(n_new)]
-        g2, infos = gr.extend_graph(g, new)
-        rebuilt = gr.BipartiteGraph(g2.customer_ids, g2.txn_ids, g2.x_c, g2.x_t,
-                                    g2.o_src, g2.i_dst, g2.timestamps, g2.stats)
-        for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
-            a, b = getattr(g2, name), getattr(rebuilt, name)
-            assert a.dtype == b.dtype == np.int64, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
-        assert [info.txn_index for info in infos] == list(range(g.n_transactions,
-                                                                g2.n_transactions))
-        assert all(g2.txn_index[t] == i for i, t in enumerate(g2.txn_ids))
-        assert len(g2.txn_index) == g2.n_transactions
-        assert all(g2.customer_index[c] == i for i, c in enumerate(g2.customer_ids))
-
-    def test_reference_graph_untouched(self):
-        from amlgraph import model as md
-        from amlgraph import training as tr
-        rng = np.random.default_rng(5)
-        txns, profiles = random_records(rng, n_c=6, n_t=40)
-        g = gr.build_graph(txns, profiles)
-
-        def arrays():
-            out = {name: getattr(g, name) for name in (
-                "x_c", "x_t", "o_src", "i_dst", "timestamps", "out_indptr",
-                "out_indices", "in_indptr", "in_indices")}
-            out.update({f"stats.{k}": v for k, v in g.stats.items()})
-            return out
-
-        before = {name: arr.copy() for name, arr in arrays().items()}
-        for arr in arrays().values():
-            arr.flags.writeable = False  # an in-place write raises
-        new = [gr.RawTransaction("x0", "c00", "c01", 50.0, rng.normal(size=3)),
-               gr.RawTransaction("x1", "c00", "ghost", 51.0, rng.normal(size=3)),
-               gr.RawTransaction("x2", gr.EXTERNAL, "c05", 52.0, rng.normal(size=3))]
-        gr.extend_graph(g, new)
-        params = md.init_params("gat", g.d_customer, g.d_transaction, 2, 8, 2, seed=0)
-        tr.score_transactions(params, g, new, tr.TrainingConfig(fanout=2))
-        for name, arr in arrays().items():
-            assert arr.dtype == before[name].dtype, name
-            assert arr.tobytes() == before[name].tobytes(), name
-        assert g.n_transactions == 40
+        x, ends, cold = gr.resolve_transactions(g, new)
+        assert g.n_transactions == 5  # the reference graph is untouched
+        idx = g.customer_index
+        assert ends.tolist() == [[idx["c0"], idx["c3"]], [-1, idx["c1"]],
+                                 [-1, idx["c2"]]]
+        assert cold.tolist() == [[False, False], [True, False], [False, False]]
+        for row, t in zip(x, new):
+            assert row.tobytes() == g.standardize_transaction_features(t.features).tobytes()
 
 
 def _first(arr, value):

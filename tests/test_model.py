@@ -370,10 +370,25 @@ class TestLayerSemantics:
                 md.encode(params, full_sub(g, depth), g.x_c, g.x_t)
 
 
+def with_record(g, x_new, txn, counterpart, direction):
+    """`g` rebuilt with the appended transactions (feature rows `x_new`,
+    indices n_transactions on) whose one edge is transaction `txn`'s edge
+    to `counterpart` (-1 for none) opposite the predicted `direction`."""
+    n_new = len(x_new)
+    ends = {gr.OUTGOING: np.full(n_new, -1), gr.INCOMING: np.full(n_new, -1)}
+    other = gr.INCOMING if direction == gr.OUTGOING else gr.OUTGOING
+    ends[other][txn - g.n_transactions] = counterpart
+    return gr.BipartiteGraph(
+        g.customer_ids, g.txn_ids + tuple(f"n{j}" for j in range(n_new)), g.x_c,
+        np.vstack([g.x_t, x_new]), np.concatenate([g.o_src, ends[gr.OUTGOING]]),
+        np.concatenate([g.i_dst, ends[gr.INCOMING]]),
+        np.concatenate([g.timestamps, np.full(n_new, 99.0)]), g.stats)
+
+
 class TestRecordSampler:
     """`sample_records` cut by `chunk_parts`: each record is a part with the
-    nodes and edges of that record sampled alone, every appended
-    transaction's edges cleared but its counterpart edge, and its encoded
+    nodes and edges of the reference graph rebuilt with the appended
+    transactions and that record's counterpart edge only, and its encoded
     row has the bits of that sample's; batched scoring relies on it."""
 
     @given(data=st.data())
@@ -391,30 +406,26 @@ class TestRecordSampler:
         warm_bn(params, full_sub(g, layers), g)
         # appended transactions: hub counterparts, self-transfers, EXTERNAL sides
         hub = int(np.argmax(np.diff(g.out_indptr) + np.diff(g.in_indptr)))
-        side = st.sampled_from([hub, hub, *range(g.n_customers), None])
-        ends = data.draw(st.lists(st.tuples(side, side).filter(lambda e: e != (None, None)),
+        side = st.sampled_from([hub, hub, *range(g.n_customers), -1])
+        ends = data.draw(st.lists(st.tuples(side, side).filter(lambda e: e != (-1, -1)),
                                   min_size=1, max_size=5), label="ends")
-        name = lambda c: gr.EXTERNAL if c is None else g.customer_ids[c]  # noqa: E731
-        ext, _ = gr.extend_graph(g, [gr.RawTransaction(
-            f"n{j}", name(src), name(dst), 99.0, np.full(g.d_transaction, 0.1 * j))
-            for j, (src, dst) in enumerate(ends)])
+        x_new = np.stack([np.full(g.d_transaction, 0.1 * j) for j in range(len(ends))])
+        x_t = np.vstack([g.x_t, x_new])
         # records may repeat a transaction, in one direction or both
         records = data.draw(st.lists(st.tuples(st.integers(0, len(ends) - 1),
                                                st.sampled_from(gr.DIRECTIONS)),
                                      min_size=1, max_size=8), label="records")
         txns = [g.n_transactions + j for j, _ in records]
         directions = [d for _, d in records]
+        # the counterpart is the side the record does not predict
+        counterparts = [ends[j][1 if d == gr.OUTGOING else 0] for j, d in records]
         seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
 
-        alone = []
-        for txn, direction in zip(txns, directions):
-            removed_out = np.arange(ext.n_transactions) >= g.n_transactions
-            removed_in = removed_out.copy()
-            (removed_in if direction == gr.OUTGOING else removed_out)[txn] = False
-            alone.append(gr.sample_neighborhood_nodes(
-                ext, [], [txn], fanout, layers, seed,
-                removed_out=removed_out, removed_in=removed_in))
-        union, parts = gr.sample_records(ext, txns, directions, g.n_transactions,
+        rebuilt = [with_record(g, x_new, txn, c, d)
+                   for txn, c, d in zip(txns, counterparts, directions)]
+        alone = [gr.sample_neighborhood_nodes(g2, [], [txn], fanout, layers, seed)
+                 for g2, txn in zip(rebuilt, txns)]
+        union, parts = gr.sample_records(g, txns, directions, counterparts,
                                          fanout, layers, seed)
         assert union.levels_t[0].tolist() == txns
         for levels in (union.levels_c, union.levels_t):
@@ -438,22 +449,25 @@ class TestRecordSampler:
             assert lo == at < hi and (hi == lo + 1 or sum(rows[lo:hi]) <= budget)
             assert hi == len(rows) or sum(rows[lo:hi + 1]) > budget
             assert chunk.levels_t[0].tolist() == txns[lo:hi]
-            encoded.extend(md.encode(params, chunk, ext.x_c, ext.x_t)[1].data)
+            encoded.extend(md.encode(params, chunk, g.x_c, x_t)[1].data)
             at = hi
         assert at == len(records)
-        for row, sub in zip(encoded, alone, strict=True):
-            assert row.tobytes() == md.encode(params, sub, ext.x_c, ext.x_t)[1].data[0].tobytes()
+        for row, sub, g2 in zip(encoded, alone, rebuilt, strict=True):
+            assert row.tobytes() == md.encode(params, sub, g2.x_c, g2.x_t)[1].data[0].tobytes()
 
     def test_bad_records_rejected(self):
         g = make_graph(seed=28)
-        ext, _ = gr.extend_graph(g, [gr.RawTransaction("n0", "c00", "c01", 9.0,
-                                                        np.zeros(g.d_transaction))])
-        n = g.n_transactions
-        for txns, directions in (([n - 1], [gr.OUTGOING]), ([n + 1], [gr.OUTGOING]),
-                                 ([n], ["sideways"]), ([n, n], [gr.OUTGOING])):
+        n, out = g.n_transactions, gr.OUTGOING
+        for txns, directions, counterparts in (
+                ([n - 1], [out], [0]),                 # inside the reference graph
+                ([n], ["sideways"], [0]),
+                ([n, n], [out], [0, 0]),               # mismatched lengths
+                ([n, n + 1], [out, out], [0]),
+                ([n], [out], [g.n_customers]),         # counterpart out of range
+                ([n], [out], [-2])):
             with pytest.raises(ConfigError):
-                gr.sample_records(ext, txns, directions, n, fanout=2, num_layers=1,
-                                  seed=0)
+                gr.sample_records(g, txns, directions, counterparts, fanout=2,
+                                  num_layers=1, seed=0)
 
 
 class TestGradients:

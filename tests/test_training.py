@@ -9,7 +9,7 @@ import amlgraph.graph as gr
 import amlgraph.model as md
 import amlgraph.ndtensor as nd
 import amlgraph.training as tr
-from amlgraph.errors import ConfigError, NumericalError
+from amlgraph.errors import ConfigError, IngestError, NumericalError
 from amlgraph.model import init_params
 from amlgraph.ndtensor import Tensor
 
@@ -453,6 +453,67 @@ class TestScoring:
     def test_empty_input(self, trained):
         g, params, cfg = trained
         assert tr.score_transactions(params, g, [], cfg) == []
+
+    def test_reference_graph_untouched(self):
+        g, _ = community_graph(seed=5)
+
+        def arrays():
+            out = {name: getattr(g, name) for name in (
+                "x_c", "x_t", "o_src", "i_dst", "timestamps", "out_indptr",
+                "out_indices", "in_indptr", "in_indices")}
+            out.update({f"stats.{k}": v for k, v in g.stats.items()})
+            return out
+
+        before = {name: arr.copy() for name, arr in arrays().items()}
+        for arr in arrays().values():
+            arr.flags.writeable = False  # an in-place write raises
+        rng = np.random.default_rng(5)
+        new = [gr.RawTransaction("x0", "c000", "c001", 500.0, rng.normal(size=3)),
+               gr.RawTransaction("x1", "c000", "ghost", 501.0, rng.normal(size=3)),
+               gr.RawTransaction("x2", gr.EXTERNAL, "c005", 502.0, rng.normal(size=3))]
+        params = init_params("gat", g.d_customer, g.d_transaction, 2, 8, 2, seed=0)
+        results = tr.score_transactions(params, g, new, small_config(fanout=2))
+        assert len(results) == 5   # one cold
+        for name, arr in arrays().items():
+            assert arr.dtype == before[name].dtype, name
+            assert arr.tobytes() == before[name].tobytes(), name
+        assert g.n_transactions == 120
+
+    @pytest.mark.parametrize("ids", [["t0000"], ["n0", "n0"]],
+                             ids=["in-graph", "repeated"])
+    def test_duplicate_id_rejected(self, trained, ids):
+        g, params, cfg = trained
+        new = [gr.RawTransaction(tid, "c000", "c001", 999.0, [0.1, 0.2, 0.3])
+               for tid in ids]
+        with pytest.raises(IngestError, match="already present"):
+            tr.score_transactions(params, g, new, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, trained, bad):
+        g, params, cfg = trained
+        new = [gr.RawTransaction("n0", "c000", "c001", 999.0, [0.1, bad, 0.3])]
+        with pytest.raises(IngestError, match="non-finite features"):
+            tr.score_transactions(params, g, new, cfg)
+
+    @pytest.mark.parametrize("source,dest,timestamp,message", [
+        ("c000", "c001", np.nan, "has a non-finite timestamp"),
+        ("c000", "c001", np.inf, "has a non-finite timestamp"),
+        (gr.EXTERNAL, gr.EXTERNAL, 999.0, "has no known endpoint")],
+        ids=["nan-timestamp", "inf-timestamp", "both-external"])
+    def test_refused_as_build_graph_refuses(self, trained, source, dest,
+                                            timestamp, message):
+        """A transaction `build_graph` refuses is refused, with its message."""
+        g, params, cfg = trained
+        t = gr.RawTransaction("n0", source, dest, timestamp, [0.1, 0.2, 0.3])
+        profiles = [gr.CustomerProfile(c, g.x_c[i])
+                    for i, c in enumerate(g.customer_ids)]
+        errors = []
+        for call in (lambda: gr.build_graph([t], profiles),
+                     lambda: tr.score_transactions(params, g, [t], cfg)):
+            with pytest.raises(IngestError) as e:
+                call()
+            errors.append(str(e.value))
+        assert errors[0] == errors[1] == f"transaction 'n0' {message}"
 
     def test_results_round_trip(self, trained, tmp_path):
         g, params, cfg = trained
