@@ -25,10 +25,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError, IngestError
 from .graph import IN_FWD, IN_REV, OUT_FWD, OUT_REV, RELATIONS, Subgraph
 from .ndtensor import (BatchNormState, Tensor, add, batch_norm, bytes_left,
-                       concat, dropout, gather_rows, hadamard, head_dot,
-                       head_scale, leaky_relu, matmul, prefix_rows,
-                       read_array, relu, segment_softmax, segment_sum,
-                       sigmoid, write_array)
+                       dropout, gat_aggregate, gather_rows, hadamard, matmul,
+                       prefix_rows, read_array, relu, segment_sum, sigmoid,
+                       write_array)
 
 KINDS = ("gat", "sage", "gin")
 
@@ -146,25 +145,17 @@ def init_params(kind: str, d_c: int, d_t: int, num_layers: int = 3,
 
 
 def _gat_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
-    """Attention-weighted aggregation over both relations into `dest`;
-    stores each relation's coefficients in `attention` (see `encode`)."""
-    heads = params.heads
+    """Attention-weighted aggregation into `dest`: one `gat_aggregate` per
+    relation, the two summed; stores each relation's coefficients in
+    `attention` (see `encode`)."""
     h_self = matmul(prefix_rows(z_self, n_out), p[f"w_self_{dest}"])
     agg = None
     for rel in DEST_RELATIONS[dest]:
         src, dst, _ = edges[rel]
-        a_src = p[f"a_src_{rel}"]
-        h_src = matmul(z_src, p[f"w_{rel}"])
-        s_src = head_dot(h_src, a_src, heads)
-        s_dst = head_dot(h_self, p[f"a_dst_{rel}"], heads)
-        edge_logits = leaky_relu(add(gather_rows(s_dst, dst), gather_rows(s_src, src)))
-        self_logits = leaky_relu(add(s_dst, head_dot(h_self, a_src, heads)))
-        logits = concat([edge_logits, self_logits], axis=0)
-        segments = np.concatenate([dst, np.arange(n_out, dtype=np.int64)])
-        alpha = segment_softmax(logits, segments, n_out)
-        attention[rel] = (alpha.data[:len(dst)], alpha.data[len(dst):], dst)
-        values = concat([gather_rows(h_src, src), h_self], axis=0)
-        contrib = segment_sum(head_scale(values, alpha), segments, n_out)
+        contrib, edge_alpha, self_alpha = gat_aggregate(
+            matmul(z_src, p[f"w_{rel}"]), h_self, p[f"a_src_{rel}"],
+            p[f"a_dst_{rel}"], src, dst, params.heads)
+        attention[rel] = (edge_alpha, self_alpha, dst)
         agg = contrib if agg is None else add(agg, contrib)
     return agg
 
@@ -193,16 +184,31 @@ def _gin_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
 _DEST_FN = {"gat": _gat_dest, "sage": _sage_dest, "gin": _gin_dest}
 
 
+def _feature_rows(x: np.ndarray, x_new: np.ndarray | None,
+                  ids: np.ndarray) -> np.ndarray:
+    """Rows `ids` of `x` with `x_new` appended, without building the stack:
+    an id at or past len(x) reads x_new[id - len(x)]."""
+    if x_new is None:
+        return x[ids]
+    out = np.empty((len(ids), x.shape[1]))
+    old = ids < len(x)
+    out[old] = x[ids[old]]
+    out[~old] = x_new[ids[~old] - len(x)]
+    return out
+
+
 def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
            x_t: np.ndarray, training: bool = False, rng=None,
-           dropout_p: float = 0.0, capture: list | None = None
-           ) -> tuple[Tensor, Tensor]:
+           dropout_p: float = 0.0, capture: list | None = None,
+           x_new: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Run all layers over the sampled structure; returns seed embeddings.
 
     The subgraph must be exactly `num_layers` deep. Inputs to the first
     layer are the (standardized) raw features of its deepest level;
-    outputs are final-layer embeddings for the level-0 nodes of each type,
-    rows following the sorted seed arrays.
+    transaction ids from len(x_t) on read the rows of `x_new`, so appended
+    transactions need no copy of `x_t`. Outputs are final-layer embeddings
+    for the level-0 nodes of each type, rows following the sorted seed
+    arrays.
     A layer's output rows are the first rows of its input (see
     `Subgraph`), so each self term reads `z[:n_out]`.
     `capture`, when a list, receives one (c_ids, z_c, t_ids, z_t,
@@ -218,7 +224,7 @@ def encode(params: ModelParams, sub: Subgraph, x_c: np.ndarray,
         raise ConfigError("training mode needs an rng for dropout")
     # features enter at level L, outputs land at level 0
     z_c = Tensor(x_c[sub.levels_c[L]])
-    z_t = Tensor(x_t[sub.levels_t[L]])
+    z_t = Tensor(_feature_rows(x_t, x_new, sub.levels_t[L]))
     dest_fn = _DEST_FN[params.kind]
     for i in range(L):
         edges = sub.layers[i]

@@ -165,7 +165,7 @@ def _row_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[:, :_INNER_BLOCK] @ b[:_INNER_BLOCK]
     for lo in range(_INNER_BLOCK, b.shape[0], _INNER_BLOCK):
         out += a[:, lo:lo + _INNER_BLOCK] @ b[lo:lo + _INNER_BLOCK]
-    return out[:m, :n]
+    return np.ascontiguousarray(out[:m, :n])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -232,11 +232,17 @@ def relu(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
+def _leaky_slope(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
+    """The leaky ReLU's derivative at x; its output is x times this."""
+    return np.where(x > 0.0, 1.0, slope)
+
+
 def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    out = Tensor(np.where(x.data > 0.0, x.data, slope * x.data), x.requires_grad)
+    k = _leaky_slope(x.data, slope)
+    out = Tensor(x.data * k, x.requires_grad)
 
     def backward(g):
-        return (g * np.where(x.data > 0.0, 1.0, slope),)
+        return (g * k,)
 
     return _maybe_record(out, (x,), backward)
 
@@ -347,15 +353,20 @@ def _cols(width: int) -> np.ndarray:
 def _scatter_add(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     """out[s] = sum of the rows x[i] with ids[i] == s; out has n rows.
 
-    One bincount over flat (row, column) bins. It adds each bin's terms in
-    row order starting from 0.0, so the result is bit-identical to
-    ``np.add.at`` into zeros. ids must lie in [0, n): bincount rejects a
-    negative id where ``add.at`` would wrap it.
+    One bincount over flat (row, column) bins, or a row assignment when no
+    two ids are equal. It adds each bin's terms in row order starting from
+    0.0, so the result is bit-identical to ``np.add.at`` into zeros. ids
+    must lie in [0, n): bincount rejects a negative id where ``add.at``
+    would wrap it.
     """
     if x.ndim == 1:
         out = np.bincount(ids, x, n)
     elif x.ndim == 2:
         width = x.shape[1]
+        if np.bincount(ids, minlength=n).max(initial=0) <= 1:
+            out = np.zeros((n, width))   # one term per bin: bincount's 0.0 + term
+            out[ids] = 0.0 + x
+            return out
         bins = ids[:, None] * width + _cols(width)
         out = np.bincount(bins.ravel(), x.ravel(), n * width).reshape(n, width)
     else:
@@ -368,7 +379,7 @@ def _scatter_add(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of x: out[i] = x[idx[i]]. Backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx], x.requires_grad)
+    out = Tensor(np.take(x.data, idx, axis=0), x.requires_grad)
 
     def backward(g):
         return (_scatter_add(g, idx, x.shape[0]),)
@@ -394,9 +405,49 @@ def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add(x.data, segments, num_segments), x.requires_grad)
 
     def backward(g):
-        return (g[segments],)
+        return (np.take(g, segments, axis=0),)
 
     return _maybe_record(out, (x,), backward)
+
+
+def _softmax(d: np.ndarray, segments: np.ndarray, n: int,
+             last: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Softmax of the rows of d within each segment, stabilized by each
+    segment's max. ``last``, when given, holds one more member per segment
+    (row s belongs to segment s), added after every row of d; the result
+    is then bit-identical to the softmax of ``concat([d, last])`` over
+    ``concat([segments, arange(n)])``. Returns the coefficients of d's rows
+    and of last's."""
+    m = np.full((n,) + d.shape[1:], -np.inf)
+    if len(d):   # max is exact, so each segment's may be taken in any order
+        order = np.argsort(segments, kind="stable")
+        sorted_ids = np.take(segments, order)
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        m[sorted_ids[starts]] = np.maximum.reduceat(np.take(d, order, axis=0), starts,
+                                                    axis=0)
+    if last is not None:
+        np.maximum(m, last, out=m)
+    e = np.exp(d - np.take(m, segments, axis=0))
+    denom = _scatter_add(e, segments, n)
+    if last is None:
+        return e / np.take(denom, segments, axis=0), None
+    e_last = np.exp(last - m)
+    denom += e_last
+    return e / np.take(denom, segments, axis=0), e_last / denom
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray, segments: np.ndarray, n: int,
+                      g_last: np.ndarray | None = None,
+                      y_last: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients of _softmax's inputs from those of its outputs."""
+    gy = g * y
+    dot = _scatter_add(gy, segments, n)
+    if y_last is None:
+        return gy - y * np.take(dot, segments, axis=0), None
+    gy_last = g_last * y_last
+    dot += gy_last
+    return gy - y * np.take(dot, segments, axis=0), gy_last - y_last * dot
 
 
 def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
@@ -409,16 +460,11 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
     segments = np.asarray(segments, dtype=np.int64)
     if segments.shape[0] != logits.shape[0]:
         raise DimensionError("segment ids must match the leading dim of logits")
-    d = logits.data
-    m = np.full((num_segments,) + d.shape[1:], -np.inf)
-    np.maximum.at(m, segments, d)
-    e = np.exp(d - m[segments])
-    y = e / _scatter_add(e, segments, num_segments)[segments]
+    y, _ = _softmax(logits.data, segments, num_segments)
     out = Tensor(y, logits.requires_grad)
 
     def backward(g):
-        gy = g * y
-        return (gy - y * _scatter_add(gy, segments, num_segments)[segments],)
+        return (_softmax_backward(g, y, segments, num_segments)[0],)
 
     return _maybe_record(out, (logits,), backward)
 
@@ -436,51 +482,113 @@ def _head_blocks(heads: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return _cols(width), cols
 
 
-def head_dot(h: Tensor, a: Tensor, heads: int) -> Tensor:
+def _block_diag(a: np.ndarray, heads: int) -> np.ndarray:
+    """The (heads*d, heads) block-diagonal matrix whose column k holds
+    block k of the row a: (1, heads*d)."""
+    rows, cols = _head_blocks(heads, a.shape[1])
+    blocks = np.zeros((a.shape[1], heads))
+    blocks[rows, cols] = a[0]
+    return blocks
+
+
+def _head_dot(h: np.ndarray, a: np.ndarray, heads: int) -> np.ndarray:
     """Per-head inner products: out[i, k] = <h[i, block k], a[0, block k]>.
 
     h is (n, heads*d) and a is (1, heads*d); out is (n, heads). One
     row-exact product with a block-diagonal copy of a, so the product h*a
     is never formed.
     """
-    width = h.shape[1]
-    if a.shape != (1, width) or width % heads:
-        raise DimensionError(f"head_dot needs a of shape (1, {width}) split "
-                             f"into {heads} heads, got {a.shape}")
-    rows, cols = _head_blocks(heads, width)
-    blocks = np.zeros((width, heads))
-    blocks[rows, cols] = a.data[0]
-    out = Tensor(_row_exact(h.data, blocks), h.requires_grad or a.requires_grad)
-
-    def backward(g):
-        gh = g @ blocks.T if h.requires_grad else None
-        ga = (h.data.T @ g)[rows, cols][None] if a.requires_grad else None
-        return gh, ga
-
-    return _maybe_record(out, (h, a), backward)
+    return _row_exact(h, _block_diag(a, heads))
 
 
-def head_scale(v: Tensor, alpha: Tensor) -> Tensor:
+def _head_dot_grad(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d(sum of g * _head_dot(h, a, heads))/da, shaped like a: (1, heads*d)."""
+    rows, cols = _head_blocks(g.shape[1], h.shape[1])
+    return (h.T @ g)[rows, cols][None]
+
+
+def _head_sums(x: np.ndarray, heads: int) -> np.ndarray:
+    """Each row's sum over each head's block of columns: (n, heads)."""
+    return x @ _block_diag(np.ones((1, x.shape[1])), heads)
+
+
+def _head_scale(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Each head's block of columns times that head's coefficient:
-    out[i, block k] = v[i, block k] * alpha[i, k].
+    out[i, block k] = v[i, block k] * alpha[i, k]. v is (n, heads*d) or
+    (1, heads*d), broadcast against alpha's (n, heads)."""
+    out = np.repeat(alpha, v.shape[1] // alpha.shape[1], axis=1)
+    out *= v
+    return out
 
-    v is (n, heads*d) and alpha is (n, heads).
+
+def gat_aggregate(h_src: Tensor, h_self: Tensor, a_src: Tensor, a_dst: Tensor,
+                  src: np.ndarray, dst: np.ndarray, heads: int
+                  ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One relation of multi-head graph attention, recorded as one op.
+
+    Edge e carries source row src[e] into destination row dst[e], and
+    each destination row i of h_self also attends to itself. Under head k,
+    with s(x, a) the inner product of x's and a's block k of columns and
+    leaky the leaky ReLU, the logits
+        edge e: leaky(s(h_self[dst[e]], a_dst) + s(h_src[src[e]], a_src))
+        self i: leaky(s(h_self[i], a_dst) + s(h_self[i], a_src))
+    are normalized by a softmax over each destination's edges and its self
+    term, and out[i] = sum over e into i of alpha_e * h_src[src[e]], plus
+    alpha_self_i * h_self[i], head block by head block.
+
+    The inner products are row-exact (see _row_exact) and every sum runs
+    in edge order with the self term last, so the output has the bits of
+    the op chain that concatenates the self terms after the edges, and a
+    destination's row depends only on its own rows and edges. Returns out
+    (n, heads*d) and the coefficients edge_alpha (E, heads) and self_alpha
+    (n, heads). One backward rule gives the gradients of all four tensors.
     """
-    (n, width), heads = v.shape, alpha.shape[1]
-    if alpha.shape[0] != n or width % heads:
-        raise DimensionError(f"head_scale shapes incompatible: {v.shape} by {alpha.shape}")
-    d_head = width // heads
-    weights = np.repeat(alpha.data, d_head, axis=1)
-    out = Tensor(v.data * weights, v.requires_grad or alpha.requires_grad)
+    (n_src, width), (n, self_width) = h_src.shape, h_self.shape
+    if (self_width != width or a_src.shape != (1, width) or a_dst.shape != (1, width)
+            or width % heads):
+        raise DimensionError(f"gat_aggregate needs rows of one width split into {heads} "
+                             f"heads and (1, width) attention rows, got h_src "
+                             f"{h_src.shape}, h_self {h_self.shape}, a_src {a_src.shape}, "
+                             f"a_dst {a_dst.shape}")
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise DimensionError(f"edge lists differ: src {src.shape}, dst {dst.shape}")
+    rows = np.take(h_src.data, src, axis=0)
+    s_dst = _head_dot(h_self.data, a_dst.data, heads)
+    pre_edge = np.take(s_dst, dst, axis=0) + _head_dot(rows, a_src.data, heads)
+    pre_self = s_dst + _head_dot(h_self.data, a_src.data, heads)
+    edge_slope, self_slope = _leaky_slope(pre_edge), _leaky_slope(pre_self)
+    edge_alpha, self_alpha = _softmax(pre_edge * edge_slope, dst, n, pre_self * self_slope)
+    agg = _scatter_add(_head_scale(rows, edge_alpha), dst, n)
+    agg += _head_scale(h_self.data, self_alpha)
+    out = Tensor(agg, h_src.requires_grad or h_self.requires_grad
+                 or a_src.requires_grad or a_dst.requires_grad)
 
     def backward(g):
-        gv = g * weights if v.requires_grad else None
-        galpha = (np.einsum("nkd,nkd->nk", g.reshape(n, heads, d_head),
-                            v.data.reshape(n, heads, d_head))
-                  if alpha.requires_grad else None)
-        return gv, galpha
+        g_rows = np.take(g, dst, axis=0)
+        # through the coefficients: the softmax, then each logit's leaky relu
+        g_edge, g_self = _softmax_backward(
+            _head_sums(g_rows * rows, heads), edge_alpha, dst, n,
+            _head_sums(g * h_self.data, heads), self_alpha)
+        g_edge *= edge_slope
+        g_self *= self_slope
+        g_s_dst = _scatter_add(g_edge, dst, n) + g_self
+        # an edge's source row is both its value and its logit's input
+        g_src = _head_scale(g_rows, edge_alpha)
+        g_src += _head_scale(a_src.data, g_edge)
+        g_h_self = _head_scale(g, self_alpha)
+        g_h_self += _head_scale(a_dst.data, g_s_dst)
+        g_h_self += _head_scale(a_src.data, g_self)
+        # weight gradients sum over node rows, not edges, so they do not
+        # depend on how the edges of different nodes interleave
+        g_a_src = (_head_dot_grad(h_src.data, _scatter_add(g_edge, src, n_src))
+                   + _head_dot_grad(h_self.data, g_self))
+        return (_scatter_add(g_src, src, n_src), g_h_self, g_a_src,
+                _head_dot_grad(h_self.data, g_s_dst))
 
-    return _maybe_record(out, (v, alpha), backward)
+    out = _maybe_record(out, (h_src, h_self, a_src, a_dst), backward)
+    return out, edge_alpha, self_alpha
 
 
 # ---------------------------------------------------------------------------

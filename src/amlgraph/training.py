@@ -423,7 +423,6 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
                if ends[k, side] >= 0 or cold[k, side]]
     y_hat = np.full(len(records), np.nan)
     warm = [j for j, (k, _, side, _) in enumerate(records) if not cold[k, side]]
-    x_t = np.vstack([g.x_t, x_new])
     # every record has an input row, so a block fills at least one chunk
     for lo in range(0, len(warm), _SCORE_CHUNK_ROWS):
         block = [records[j] for j in warm[lo:lo + _SCORE_CHUNK_ROWS]]
@@ -433,7 +432,7 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
             [ends[k, 1 - side] for k, _, side, _ in block], config.fanout,
             params.num_layers, config.seed)
         for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
-            _, z_t = encode(params, chunk, g.x_c, x_t)
+            _, z_t = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
             # a chunk's level 0 is its records' transactions, in order
             z_cust = Tensor(np.stack([ref[ends[k, side]] for k, _, side, _ in block[a:b]]))
             y_hat[warm[lo + a:lo + b]] = decode(params.w_dec, z_cust, z_t).data[:, 0]

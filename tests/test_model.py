@@ -11,6 +11,7 @@ from amlgraph import graph as gr
 from amlgraph import model as md
 from amlgraph import ndtensor as nd
 from amlgraph.errors import ConfigError, DimensionError, IngestError
+from test_ndtensor import reference_gat_relation
 
 
 def make_graph(seed=0, n_c=6, n_t=18, d_c=5, d_t=3):
@@ -224,6 +225,75 @@ class TestAttention:
                 assert a.data.tobytes() == snap.tobytes()
 
 
+def reference_gat_dest(params, p, dest, edges, z_src, z_self, n_out, attention):
+    """`_gat_dest` through the op chain `gat_aggregate` replaced (forward only)."""
+    h_self = nd.matmul(nd.prefix_rows(z_self, n_out), p[f"w_self_{dest}"]).data
+    agg = None
+    for rel in md.DEST_RELATIONS[dest]:
+        src, dst, _ = edges[rel]
+        h_src = nd.matmul(z_src, p[f"w_{rel}"]).data
+        contrib, edge_alpha, self_alpha = reference_gat_relation(
+            h_src, h_self, p[f"a_src_{rel}"].data, p[f"a_dst_{rel}"].data, src, dst,
+            params.heads)
+        attention[rel] = (edge_alpha, self_alpha, dst)
+        agg = contrib if agg is None else agg + contrib
+    return nd.Tensor(agg)
+
+
+class TestFusedAttention:
+    """`encode` with the fused relation op against the op chain it replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_encode_bitwise_equals_op_chain(self, data):
+        layers = data.draw(st.integers(1, 3), label="layers")
+        heads = data.draw(st.sampled_from([1, 2, 4]), label="heads")
+        fanout = data.draw(st.integers(1, 3), label="fanout")
+        g = make_graph(seed=data.draw(st.integers(0, 99), label="graph"), n_c=6, n_t=40)
+        assert np.diff(g.out_indptr).max() > fanout   # the cap truncates
+        params = md.init_params("gat", g.d_customer, g.d_transaction, layers, 8, heads,
+                                seed=data.draw(st.integers(0, 99), label="init"))
+        warm_bn(params, full_sub(g, layers), g)
+        # two seeds of each type: training-mode batch norm needs two rows
+        seeds_c = data.draw(st.lists(st.integers(0, g.n_customers - 1), min_size=2,
+                                     max_size=4, unique=True), label="seeds_c")
+        seeds_t = data.draw(st.lists(st.integers(0, g.n_transactions - 1), min_size=2,
+                                     max_size=6, unique=True), label="seeds_t")
+        sub = gr.sample_neighborhood_nodes(g, seeds_c, seeds_t, fanout, layers, seed=4)
+        training = data.draw(st.booleans(), label="training")
+
+        def run():
+            capture = []
+            out = md.encode(params.copy(), sub, g.x_c, g.x_t, training=training,
+                            rng=np.random.default_rng(9), dropout_p=0.3, capture=capture)
+            return out, capture
+
+        (z_c, z_t), capture = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(md._DEST_FN, "gat", reference_gat_dest)
+            (ref_c, ref_t), ref_capture = run()
+        assert z_c.data.tobytes() == ref_c.data.tobytes()
+        assert z_t.data.tobytes() == ref_t.data.tobytes()
+        for got, want in zip(capture, ref_capture, strict=True):
+            assert set(got[4]) == set(want[4]) == set(gr.RELATIONS)
+            for rel in gr.RELATIONS:
+                for a, b in zip(got[4][rel], want[4][rel], strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_tape_records_per_relation(self):
+        """A relation records its source projection and one gat_aggregate;
+        the second relation into a node type adds one add."""
+        g = make_graph(seed=16)
+        params = md.init_params("gat", g.d_customer, g.d_transaction, 1, 8, 2, seed=8)
+        with nd.Tape() as tape:
+            md.encode(params, full_sub(g, 1), g.x_c, g.x_t)
+        kinds = sorted(rule.__qualname__.split(".")[0] for _, _, rule in tape._records)
+        # per node type: the self projection (its input rows are features,
+        # so their prefix_rows is not recorded), then per relation
+        assert kinds == sorted(2 * ["matmul"] + 4 * ["matmul", "gat_aggregate"]
+                               + 2 * ["add"])
+
+
 class TestLayerSemantics:
     def test_isolated_node_self_term_only(self):
         # one customer, no transactions touching it in either direction
@@ -410,7 +480,6 @@ class TestRecordSampler:
         ends = data.draw(st.lists(st.tuples(side, side).filter(lambda e: e != (-1, -1)),
                                   min_size=1, max_size=5), label="ends")
         x_new = np.stack([np.full(g.d_transaction, 0.1 * j) for j in range(len(ends))])
-        x_t = np.vstack([g.x_t, x_new])
         # records may repeat a transaction, in one direction or both
         records = data.draw(st.lists(st.tuples(st.integers(0, len(ends) - 1),
                                                st.sampled_from(gr.DIRECTIONS)),
@@ -449,7 +518,7 @@ class TestRecordSampler:
             assert lo == at < hi and (hi == lo + 1 or sum(rows[lo:hi]) <= budget)
             assert hi == len(rows) or sum(rows[lo:hi + 1]) > budget
             assert chunk.levels_t[0].tolist() == txns[lo:hi]
-            encoded.extend(md.encode(params, chunk, g.x_c, x_t)[1].data)
+            encoded.extend(md.encode(params, chunk, g.x_c, g.x_t, x_new=x_new)[1].data)
             at = hi
         assert at == len(records)
         for row, sub, g2 in zip(encoded, alone, rebuilt, strict=True):

@@ -50,6 +50,51 @@ def check_grad(build, x0: np.ndarray, tol: float = 1e-6):
 RNG = np.random.default_rng(20240811)
 
 
+def reference_gat_relation(h_src, h_self, a_src, a_dst, src, dst, heads):
+    """The op chain gat_aggregate replaced, as numpy, for its forward's
+    bits: per-head scores from separate row-exact block-diagonal products,
+    the self terms concatenated after the edges, then one segment softmax
+    and one scatter over both. Returns (out, edge_alpha, self_alpha)."""
+    n, width = h_self.shape
+    d_head = width // heads
+
+    def head_dot(h, a):
+        blocks = np.zeros((width, heads))
+        blocks[np.arange(width), np.arange(width) // d_head] = a[0]
+        return nd._row_exact(h, blocks)
+
+    def leaky(x):
+        return np.where(x > 0.0, x, nd.LEAKY_SLOPE * x)
+
+    s_src, s_dst = head_dot(h_src, a_src), head_dot(h_self, a_dst)
+    logits = np.concatenate([leaky(s_dst[dst] + s_src[src]),
+                             leaky(s_dst + head_dot(h_self, a_src))])
+    segments = np.concatenate([dst, np.arange(n)])
+    m = np.full((n, heads), -np.inf)
+    np.maximum.at(m, segments, logits)
+    e = np.exp(logits - m[segments])
+    denom = np.zeros((n, heads))
+    np.add.at(denom, segments, e)
+    alpha = e / denom[segments]
+    values = np.concatenate([h_src[src], h_self]) * np.repeat(alpha, d_head, axis=1)
+    out = np.zeros((n, width))
+    np.add.at(out, segments, values)
+    return out, alpha[:len(dst)], alpha[len(dst):]
+
+
+def gat_inputs(rng, n_src, n, heads, d_head):
+    """h_src, h_self, a_src, a_dst as arrays."""
+    width = heads * d_head
+    return (rng.normal(size=(n_src, width)), rng.normal(size=(n, width)),
+            rng.normal(size=(1, width)), rng.normal(size=(1, width)))
+
+
+def run_gat(arrays, src, dst, heads):
+    out, edge_alpha, self_alpha = nd.gat_aggregate(
+        *(nd.Tensor(x) for x in arrays), np.asarray(src), np.asarray(dst), heads)
+    return out.data, edge_alpha, self_alpha
+
+
 class TestTapeMechanics:
     def test_no_tape_no_grad(self):
         x = nd.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
@@ -210,24 +255,20 @@ class TestGradients:
             RNG.normal(size=(6, 2)))
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_head_dot(self, heads):
-        width = 3 * heads
-        a = nd.Tensor(RNG.normal(size=(1, width)))
-        h = nd.Tensor(RNG.normal(size=(5, width)))
-        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_dot(x, a, heads))),
-                   RNG.normal(size=(5, width)))
-        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_dot(h, x, heads))),
-                   RNG.normal(size=(1, width)))
+    def test_gat_aggregate(self, heads):
+        """All four inputs, on a relation with a repeated source row and a
+        destination with no incoming edge, then on one with no edges."""
+        inputs = gat_inputs(RNG, 5, 4, heads, 3)
+        w = nd.Tensor(RNG.normal(size=(4, 3 * heads)))
+        for src, dst in (([0, 2, 2, 4, 1, 2], [0, 0, 1, 2, 2, 2]), ([], [])):
+            for k in range(4):
+                def build(x, k=k, src=src, dst=dst):
+                    args = [x if j == k else nd.Tensor(a) for j, a in enumerate(inputs)]
+                    out, _, _ = nd.gat_aggregate(*args, np.array(src, dtype=np.int64),
+                                                 np.array(dst, dtype=np.int64), heads)
+                    return nd.sum_all(nd.hadamard(nd.sigmoid(out), w))
 
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_head_scale(self, heads):
-        width = 3 * heads
-        alpha = nd.Tensor(RNG.uniform(0.1, 1.0, size=(5, heads)))
-        v = nd.Tensor(RNG.normal(size=(5, width)))
-        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_scale(x, alpha))),
-                   RNG.normal(size=(5, width)))
-        check_grad(lambda x: nd.sum_all(nd.sigmoid(nd.head_scale(v, x))),
-                   RNG.uniform(0.1, 1.0, size=(5, heads)))
+                check_grad(build, inputs[k].copy())
 
     def test_bce(self):
         x0 = RNG.uniform(0.1, 0.9, size=(8,))
@@ -297,6 +338,16 @@ class TestScatter:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, np.zeros((3,) + tail))
 
+    @pytest.mark.parametrize("ids", [[1, 0], [1, 1]])
+    def test_negative_zero_becomes_zero(self, ids):
+        """A bin's sum starts from 0.0, so a lone -0.0 term gives 0.0 with
+        distinct ids (a row assignment) as with repeated ones."""
+        x = np.array([[-0.0, 1.0], [-0.0, -0.0]])
+        ids = np.array(ids)
+        want = np.zeros((3, 2))
+        np.add.at(want, ids, x)
+        assert nd._scatter_add(x, ids, 3).tobytes() == want.tobytes()
+
     def test_higher_rank_rows(self):
         x = RNG.normal(size=(5, 2, 3))
         ids = np.array([0, 2, 2, 1, 0])
@@ -309,23 +360,140 @@ class TestHeadOps:
     def test_head_dot_matches_per_head_sums(self):
         h = RNG.normal(size=(6, 8))
         a = RNG.normal(size=(1, 8))
-        got = nd.head_dot(nd.Tensor(h), nd.Tensor(a), 4).data
+        got = nd._head_dot(h, a, 4)
         want = (h * a).reshape(6, 4, 2).sum(axis=2)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
     def test_head_scale_scales_each_block(self):
         v = RNG.normal(size=(3, 6))
         alpha = RNG.uniform(size=(3, 2))
-        got = nd.head_scale(nd.Tensor(v), nd.Tensor(alpha)).data
+        got = nd._head_scale(v, alpha)
         assert got.tobytes() == (v * np.repeat(alpha, 3, axis=1)).tobytes()
 
     def test_shape_errors(self):
+        ok = [np.ones((2, 6)), np.ones((3, 6)), np.ones((1, 6)), np.ones((1, 6))]
+        edges = (np.array([0, 1]), np.array([2, 0]))
+        run_gat(ok, *edges, 2)
+        for k, bad in ((0, np.ones((2, 4))), (1, np.ones((3, 4))),
+                       (2, np.ones((1, 4))), (3, np.ones((2, 6)))):
+            with pytest.raises(DimensionError):
+                run_gat(ok[:k] + [bad] + ok[k + 1:], *edges, 2)
         with pytest.raises(DimensionError):
-            nd.head_dot(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((1, 4))), 2)
+            run_gat(ok, *edges, 4)             # 6 columns do not split into 4 heads
         with pytest.raises(DimensionError):
-            nd.head_dot(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((1, 6))), 4)
-        with pytest.raises(DimensionError):
-            nd.head_scale(nd.Tensor(np.ones((2, 6))), nd.Tensor(np.ones((3, 2))))
+            run_gat(ok, np.array([0, 1]), np.array([2]), 2)
+
+
+class TestGatAggregate:
+    """gat_aggregate against the op chain it replaced and its semantics."""
+
+    @given(data=st.data(), heads=st.sampled_from([1, 2, 4]), d_head=st.integers(1, 9),
+           n_src=st.integers(1, 60), n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_forward_bitwise_equals_op_chain(self, data, heads, d_head, n_src, n, seed):
+        rng = np.random.default_rng(seed)
+        n_edges = data.draw(st.sampled_from([0, 1, 5, 40, 300]), label="edges")
+        src = rng.integers(0, n_src, n_edges)    # repeats sources
+        dst = rng.integers(0, data.draw(st.integers(1, n), label="reached"), n_edges)
+        if data.draw(st.booleans(), label="sorted"):
+            order = np.argsort(dst, kind="stable")
+            src, dst = src[order], dst[order]
+        arrays = [x * data.draw(st.sampled_from([1.0, 30.0]), label="scale")
+                  for x in gat_inputs(rng, n_src, n, heads, d_head)]
+        got = run_gat(arrays, src, dst, heads)
+        want = reference_gat_relation(*arrays, src, dst, heads)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradients_match_op_chain(self, heads):
+        """The hand-written backward against the tape of the op chain, built
+        from public ops (per-head sums as products with a 0/1 matrix);
+        only the order of the gradient sums differs."""
+        rng = np.random.default_rng(heads)
+        n_src, n, d_head = 30, 20, 3
+        arrays = gat_inputs(rng, n_src, n, heads, d_head)
+        src, dst = rng.integers(0, n_src, 90), rng.integers(0, n - 3, 90)
+        ones = np.zeros((heads * d_head, heads))
+        ones[np.arange(heads * d_head), np.arange(heads * d_head) // d_head] = 1.0
+        per_head, spread = nd.Tensor(ones), nd.Tensor(ones.T)
+        w = nd.Tensor(rng.normal(size=(n, heads * d_head)))
+
+        def chain(h_src, h_self, a_src, a_dst):
+            def head_dot(h, a):
+                return nd.matmul(nd.hadamard(h, a), per_head)
+
+            s_src, s_dst = head_dot(h_src, a_src), head_dot(h_self, a_dst)
+            logits = nd.concat([
+                nd.leaky_relu(nd.add(nd.gather_rows(s_dst, dst), nd.gather_rows(s_src, src))),
+                nd.leaky_relu(nd.add(s_dst, head_dot(h_self, a_src)))], axis=0)
+            segments = np.concatenate([dst, np.arange(n)])
+            alpha = nd.segment_softmax(logits, segments, n)
+            values = nd.concat([nd.gather_rows(h_src, src), h_self], axis=0)
+            return nd.segment_sum(nd.hadamard(values, nd.matmul(alpha, spread)),
+                                  segments, n)
+
+        def fused(*tensors):
+            return nd.gat_aggregate(*tensors, src, dst, heads)[0]
+
+        grads = []
+        for build in (chain, fused):
+            tensors = [nd.Tensor(x.copy(), requires_grad=True) for x in arrays]
+            with nd.Tape() as tape:
+                loss = nd.sum_all(nd.hadamard(nd.sigmoid(build(*tensors)), w))
+            tape.backward(loss)
+            grads.append([t.grad for t in tensors])
+        for want, got in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_bits_do_not_depend_on_how_nodes_edges_interleave(self, heads):
+        """Reordering edges so that each node keeps its own edges' order
+        (here: one side of every edge is distinct, the other grouped) moves
+        no bit of the output or of any gradient."""
+        rng = np.random.default_rng(heads)
+        arrays = gat_inputs(rng, 40, 40, heads, 5)
+        w = rng.normal(size=(40, 5 * heads))
+        distinct, grouped = rng.permutation(40)[:30], rng.integers(0, 6, 30)
+        for src, dst in ((distinct, grouped), (grouped, distinct)):
+            runs = []
+            for order in (np.arange(30), np.argsort(grouped, kind="stable")):
+                tensors = [nd.Tensor(x, requires_grad=True) for x in arrays]
+                with nd.Tape() as tape:
+                    out, edge_alpha, _ = nd.gat_aggregate(*tensors, src[order], dst[order],
+                                                          heads)
+                    loss = nd.sum_all(nd.hadamard(out, nd.Tensor(w)))
+                tape.backward(loss)
+                runs.append([out.data, edge_alpha[np.argsort(order)]]
+                            + [t.grad for t in tensors])
+            for a, b in zip(*runs):
+                assert a.tobytes() == b.tobytes()
+
+    def test_no_edges_gives_each_destination_itself(self):
+        arrays = gat_inputs(RNG, 3, 4, 2, 3)
+        out, edge_alpha, self_alpha = run_gat(arrays, [], [], 2)
+        assert edge_alpha.shape == (0, 2)
+        np.testing.assert_array_equal(self_alpha, np.ones((4, 2)))
+        np.testing.assert_array_equal(out, arrays[1])
+
+    def test_destination_without_edges_keeps_its_row(self):
+        arrays = gat_inputs(RNG, 3, 3, 4, 2)
+        out, _, self_alpha = run_gat(arrays, [0, 1, 2], [0, 0, 2], 4)
+        np.testing.assert_array_equal(self_alpha[1], np.ones(4))
+        np.testing.assert_array_equal(out[1], arrays[1][1])
+        assert np.all(self_alpha[[0, 2]] < 1.0)
+
+    def test_repeated_source_row(self):
+        """Two edges from one source row into one destination are equal
+        terms: equal coefficients, and the sum is the one-edge formula
+        with that coefficient doubled."""
+        arrays = gat_inputs(RNG, 2, 1, 2, 3)
+        out, edge_alpha, self_alpha = run_gat(arrays, [1, 1], [0, 0], 2)
+        assert edge_alpha[0].tobytes() == edge_alpha[1].tobytes()
+        np.testing.assert_allclose(2 * edge_alpha[0] + self_alpha[0], 1.0, rtol=1e-14)
+        want = (np.repeat(2 * edge_alpha[0], 3) * arrays[0][1]
+                + np.repeat(self_alpha[0], 3) * arrays[1][0])
+        np.testing.assert_allclose(out[0], want, rtol=1e-13)
 
 
 # row counts on both sides of BLAS's switch from small-matrix to packed kernels
@@ -361,8 +529,31 @@ class TestRowExact:
     def test_head_dot(self, data, m, heads, d_head, seed):
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(m, heads * d_head))
-        a = nd.Tensor(rng.normal(size=(1, heads * d_head)))
-        self._check_rows(lambda x: nd.head_dot(nd.Tensor(x), a, heads).data, h, data)
+        a = rng.normal(size=(1, heads * d_head))
+        self._check_rows(lambda x: nd._head_dot(x, a, heads), h, data)
+
+    @given(data=st.data(), n=st.one_of(st.integers(1, 40), st.integers(41, 400)),
+           heads=st.sampled_from([1, 2, 4]), d_head=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gat_aggregate(self, data, n, heads, d_head, seed):
+        """Each destination encoded alone, from only the source rows its
+        edges read, has the bits of its row in the whole."""
+        rng = np.random.default_rng(seed)
+        n_src = data.draw(st.integers(1, 300), label="n_src")
+        n_edges = data.draw(st.integers(0, 3 * n), label="edges")
+        h_src, h_self, a_src, a_dst = gat_inputs(rng, n_src, n, heads, d_head)
+        src, dst = rng.integers(0, n_src, n_edges), rng.integers(0, n, n_edges)
+        whole = run_gat((h_src, h_self, a_src, a_dst), src, dst, heads)
+        for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8),
+                           label="destinations"):
+            mine = dst == i
+            used, local = np.unique(src[mine], return_inverse=True)
+            alone = run_gat((h_src[used], h_self[i:i + 1], a_src, a_dst),
+                            local, np.zeros(len(local), dtype=np.int64), heads)
+            assert alone[0].tobytes() == whole[0][i:i + 1].tobytes()
+            assert alone[1].tobytes() == whole[1][mine].tobytes()
+            assert alone[2].tobytes() == whole[2][i:i + 1].tobytes()
 
     def test_values_match_plain_product(self):
         a, b = RNG.normal(size=(5, 300)), RNG.normal(size=(300, 3))
