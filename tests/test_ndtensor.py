@@ -270,6 +270,44 @@ class TestGradients:
 
                 check_grad(build, inputs[k].copy())
 
+    @staticmethod
+    def check_rule(loss, x0, analytic, tol=1e-6):
+        """analytic (an array like x0) against the FD gradient of loss at x0."""
+        ref = fd_grad(loss, x0.copy())
+        assert np.abs(analytic - ref).max() / max(np.abs(ref).max(), 1e-8) < tol
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_head_dot(self, heads):
+        """The gradient rules gat_aggregate's backward applies to a per-head
+        inner product: _head_dot_grad for the attention row, _head_scale of
+        the attention row for the node rows."""
+        rng = np.random.default_rng(heads)   # leaves RNG to the later tests
+        width = 3 * heads
+        a = rng.normal(size=(1, width))
+        h = rng.normal(size=(5, width))
+        g = nd.sigmoid(nd.Tensor(nd._head_dot(h, a, heads))).data
+        g = g * (1.0 - g)     # upstream gradient of the sum of sigmoids
+        self.check_rule(lambda x: nd.sigmoid(nd.Tensor(nd._head_dot(h, x, heads))).data.sum(),
+                        a, nd._head_dot_grad(h, g))
+        self.check_rule(lambda x: nd.sigmoid(nd.Tensor(nd._head_dot(x, a, heads))).data.sum(),
+                        h, nd._head_scale(a, g))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_head_scale(self, heads):
+        """The gradient rules gat_aggregate's backward applies to a per-head
+        scaling: _head_scale by the coefficients for the values, _head_sums
+        of gradient times values for the coefficients."""
+        rng = np.random.default_rng(heads)   # leaves RNG to the later tests
+        width = 3 * heads
+        alpha = rng.uniform(0.1, 1.0, size=(5, heads))
+        v = rng.normal(size=(5, width))
+        g = nd.sigmoid(nd.Tensor(nd._head_scale(v, alpha))).data
+        g = g * (1.0 - g)
+        self.check_rule(lambda x: nd.sigmoid(nd.Tensor(nd._head_scale(x, alpha))).data.sum(),
+                        v, nd._head_scale(g, alpha))
+        self.check_rule(lambda x: nd.sigmoid(nd.Tensor(nd._head_scale(v, x))).data.sum(),
+                        alpha, nd._head_sums(g * v, heads))
+
     def test_bce(self):
         x0 = RNG.uniform(0.1, 0.9, size=(8,))
         t = (RNG.random(8) > 0.5).astype(float)
