@@ -56,7 +56,8 @@ def divergence_report(snapshots: Sequence[Mapping[str, np.ndarray]],
     A customer is flagged as diverging when any snapshot pair falls
     below the threshold. Diagonals are exactly 1 and the matrix is
     mirrored, so symmetry is structural. Customers must appear in every
-    snapshot; the ids default to the first snapshot's, sorted.
+    snapshot, with embeddings as wide as the first snapshot's (else
+    IngestError); the ids default to the first snapshot's, sorted.
     """
     k = len(snapshots)
     if k < 2:
@@ -70,6 +71,8 @@ def divergence_report(snapshots: Sequence[Mapping[str, np.ndarray]],
             if cid not in snap:
                 raise IngestError(f"customer {cid!r} missing from snapshot {idx}")
             vecs.append(snap[cid])
+            if np.size(vecs[-1]) != np.size(vecs[0]):
+                raise IngestError(f"snapshot {idx} embeddings are not as wide as snapshot 0's")
         m = np.eye(k)
         for i in range(k):
             for j in range(i + 1, k):

@@ -380,11 +380,12 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     in row order, the `fanout` whose splitmix64 keys over (seed, relation,
     owner, position in the surviving row) are smallest. So a sample is a
     pure function of (seed, owner, relation, surviving row), and an owner
-    within the cap keeps every edge for every seed.
+    within the cap keeps every edge for every seed. Returns the kept
+    (nbrs, counts).
     """
     over = counts > fanout
     if not over.any():
-        return np.repeat(owners_frontier, counts), nbrs, counts
+        return nbrs, counts
     n_over = counts[over]
     group = np.repeat(np.arange(n_over.size), n_over)
     # position in the owner's row, and each key's rank once sorted
@@ -396,8 +397,7 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     chosen = np.lexsort((keys, group))[pos < fanout]
     keep = np.repeat(~over, counts)
     keep[np.flatnonzero(~keep)[chosen]] = True
-    new_counts = np.minimum(counts, fanout)
-    return np.repeat(owners_frontier, new_counts), nbrs[keep], new_counts
+    return nbrs[keep], np.minimum(counts, fanout)
 
 
 def _filter_removed(nbrs, counts, removed):
@@ -412,50 +412,47 @@ def _filter_removed(nbrs, counts, removed):
     return nbrs[keep], new_counts
 
 
-def _append_edge(nbrs, counts, owns, txns):
-    """Add the edge to txns[r] at the end of each row r where owns[r]."""
-    at = np.flatnonzero(owns)
-    if not len(at):
-        return nbrs, counts
-    return np.insert(nbrs, np.cumsum(counts)[at], txns[at]), counts + owns
-
-
 # (source, destination) node type of each relation
 _REL_ENDS = {OUT_FWD: ("c", "t"), OUT_REV: ("t", "c"),
              IN_FWD: ("t", "c"), IN_REV: ("c", "t")}
 
 
-class _SortedRows:
-    """Row map over a key space too large to allocate densely: the keys
-    given rows so far, sorted, beside their rows. An unseen key reads -1;
-    rows are assigned to sorted keys not seen yet, as `_grow` does."""
+class _Rows:
+    """Rows of node keys in the order `grow` first reaches them, -1 for a
+    key without one: part 0's keys (below `n`) on a dense map, the
+    records' keys (from `n` up) sorted beside their rows, as a record's few
+    rows would leave a dense map empty. `blocks` holds the (part, id) of
+    each grow's keys; the sorted keys end in a sentinel no key reaches."""
 
-    def __init__(self):
-        self.keys = np.empty(0, dtype=np.int64)
-        self.rows = np.empty(0, dtype=np.int64)
+    def __init__(self, n):
+        self.n, self.blocks = n, []
+        self.dense = np.full(n, -1, dtype=np.int64)
+        self.keys, self.rows = np.array([np.iinfo(np.int64).max]), np.array([-1])
 
     def __getitem__(self, keys):
-        if not len(self.keys):
-            return np.full(len(keys), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[pos] == keys, self.rows[pos], -1)
+        dense = keys < self.n
+        if dense.all():
+            return self.dense[keys]
+        pos = np.searchsorted(self.keys, keys)
+        out = np.where(self.keys[pos] == keys, self.rows[pos], -1)
+        out[dense] = self.dense[keys[dense]]
+        return out
 
-    def __setitem__(self, keys, rows):
-        merged = np.concatenate([self.keys, keys])
-        order = np.argsort(merged, kind="stable")   # merges the two sorted runs
-        self.keys = merged[order]
-        self.rows = np.concatenate([self.rows, rows])[order]
-
-
-def _grow(rows, blocks, reached):
-    """Append to `blocks` the sorted keys in `reached` without a row yet
-    (-1 in `rows`), giving them the next rows; returns them."""
-    reached = np.concatenate(reached)
-    new = np.unique(reached[rows[reached] < 0])
-    n = sum(map(len, blocks))
-    rows[new] = np.arange(n, n + len(new))
-    blocks.append(new)
-    return new
+    def grow(self, *reached):
+        """Give the next rows to the keys in `reached` without one yet;
+        returns those keys, sorted, as a new block."""
+        reached = np.concatenate(reached)
+        new = np.sort(reached[self[reached] < 0])
+        new = new[np.diff(new, prepend=-1) > 0]   # faster than np.unique's hashing
+        rows = np.arange(len(new)) + sum(len(ids) for _, ids in self.blocks)
+        split = np.searchsorted(new, self.n)
+        self.dense[new[:split]] = rows[:split]
+        at = np.searchsorted(self.keys, new[split:])
+        self.keys = np.insert(self.keys, at, new[split:])
+        self.rows = np.insert(self.rows, at, rows[split:])
+        part = new // self.n   # faster than np.divmod
+        self.blocks.append((part, new - part * self.n))
+        return new
 
 
 def _check_sampling(fanout, num_layers, seed) -> None:
@@ -468,89 +465,80 @@ def _check_sampling(fanout, num_layers, seed) -> None:
         raise ConfigError(f"need at least one layer, got {num_layers}")
 
 
+def _seed_ids(ids, n: int, what: str) -> np.ndarray:
+    """`ids` as a flat int array, refused unless each is in [0, n)."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        raise ConfigError(f"{what} index out of range")
+    return ids
+
+
 def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
-            removed_in=None, appended=None):
-    """The hop loop of both samplers, over node keys part * n + id (n past
-    every id of the key's type), so the sample is the block-diagonal union
-    of each part's sample. Each hop appends the keys it reaches first,
-    sorted, so within a hop's block nodes go by (part, id).
+            removed_in=None, records=None):
+    """The hop loop of every sampler: a union of parts over node keys
+    part * n + id (n past every id of the key's type), so the sample is the
+    block-diagonal union of each part's sample.
 
-    `appended` is None for a one-part sample: a key is the node id and the
-    row maps are dense. Otherwise it is (owner_out, owner_in), and part p
-    is seeded with seeds_t[p] alone: a transaction past the graph's, whose
-    edge of each direction joins customer owner_*[p] (-1 for none) and
-    ends that customer's row. Returns the Subgraph and the part of each
-    customer and transaction row (None for one part).
+    Part 0 is the graph as it stands, less the `removed_*` edges, seeded
+    with seeds_c and seeds_t; its keys are the node ids. Part p >= 1 is a
+    scored record, records = (txns, owner_out, owner_in): seeded with
+    txns[p-1] alone, a transaction past the graph's whose edge of each
+    direction joins customer owner_*[p-1] (-1 for none) and ends that
+    customer's row. Each hop appends the keys it reaches first, sorted, so
+    within a hop's block nodes go by (part, id). Returns the Subgraph and
+    the part of each customer and transaction row.
     """
-    n_c, n_t = g.n_customers, g.n_transactions
-    several = appended is not None
-    owner_out, owner_in = appended if several else (None, None)
-
-    def split(keys, n):
-        """(part, id) of each key; the part is None for one part."""
-        return np.divmod(keys, n) if several else (None, keys)
-
-    keys_t = seeds_t
-    if several:
-        n_t = max(n_t, int(seeds_t.max(initial=-1)) + 1)
-        keys_t = np.arange(len(seeds_t), dtype=np.int64) * n_t + seeds_t
-        row_c, row_t = _SortedRows(), _SortedRows()
-    else:
-        row_c = np.full(n_c, -1, dtype=np.int64)
-        row_t = np.full(n_t, -1, dtype=np.int64)
-    blocks_c, blocks_t = [], []
-    front_c = _grow(row_c, blocks_c, [seeds_c])
-    front_t = _grow(row_t, blocks_t, [keys_t])
-    # per relation, the (customer keys, transaction keys) of each hop's edges
+    _check_sampling(fanout, num_layers, seed)
+    txns, owner_out, owner_in = records or (np.empty(0, dtype=np.int64),) * 3
+    n_c, n_t = g.n_customers, max(g.n_transactions, int(txns.max(initial=-1)) + 1)
+    # per part: its record's transaction and counterpart owners (none for part 0)
+    txn_of, owner_out, owner_in = (np.concatenate([[-1], a])
+                                   for a in (txns, owner_out, owner_in))
+    # each transaction's customer per direction, the removed edges gone
+    ends_out, ends_in = (ends if removed is None else np.where(removed, -1, ends)
+                         for ends, removed in ((g.o_src, removed_out), (g.i_dst, removed_in)))
+    row_c, row_t = _Rows(n_c), _Rows(n_t)
+    front_c = row_c.grow(seeds_c)
+    front_t = row_t.grow(seeds_t, np.arange(1, len(txn_of)) * n_t + txns)
+    # per relation, each hop's edges: (customer keys, txn keys, txn ids)
     found = {rel: [] for rel in RELATIONS}
 
     for _ in range(num_layers):
-        part_c, ids_c = split(front_c, n_c)
-        part_t, ids_t = split(front_t, n_t)
+        part_c, ids_c = row_c.blocks[-1]
+        part_t, ids_t = row_t.blocks[-1]
         for rel, indptr, indices, removed, owner in (
                 (OUT_REV, g.out_indptr, g.out_indices, removed_out, owner_out),
                 (IN_FWD, g.in_indptr, g.in_indices, removed_in, owner_in)):
             nbrs, counts = _flat_neighbors(indptr, indices, ids_c)
             nbrs, counts = _filter_removed(nbrs, counts, removed)
-            if several:
-                nbrs, counts = _append_edge(nbrs, counts, ids_c == owner[part_c],
-                                            seeds_t[part_c])
-            owners, nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed,
-                                        RELATIONS.index(rel))
-            if several:
-                owners = np.repeat(front_c, counts)
-                nbrs = nbrs + np.repeat(part_c * n_t, counts)
-            found[rel].append((owners, nbrs))
-        for rel, ends, removed, owner in ((OUT_FWD, g.o_src, removed_out, owner_out),
-                                          (IN_REV, g.i_dst, removed_in, owner_in)):
-            if several:   # a transaction past the graph's is its part's seed
-                custs = owner[part_t]
-                ref = ids_t < g.n_transactions
-                custs[ref] = ends[ids_t[ref]]
-            else:
-                custs = ends[ids_t]
-                if removed is not None:
-                    custs = np.where(removed[ids_t], -1, custs)
+            at = np.flatnonzero(ids_c == owner[part_c])
+            if len(at):   # a record's counterpart edge ends its owner's row
+                nbrs = np.insert(nbrs, np.cumsum(counts)[at], txn_of[part_c[at]])
+                counts = counts + np.bincount(at, minlength=len(counts))
+            nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed, RELATIONS.index(rel))
+            found[rel].append((np.repeat(front_c, counts),
+                               nbrs + np.repeat(part_c * n_t, counts), nbrs))
+        graph = ids_t < g.n_transactions   # else a record's own transaction
+        for rel, ends, owner in ((OUT_FWD, ends_out, owner_out), (IN_REV, ends_in, owner_in)):
+            custs = owner[part_t]
+            custs[graph] = ends[ids_t[graph]]
             keep = custs >= 0
-            custs = custs[keep]
-            if several:
-                custs = custs + part_t[keep] * n_c
-            found[rel].append((custs, front_t[keep]))
-        front_t = _grow(row_t, blocks_t, [found[OUT_REV][-1][1], found[IN_FWD][-1][1]])
-        front_c = _grow(row_c, blocks_c, [found[OUT_FWD][-1][0], found[IN_REV][-1][0]])
+            found[rel].append((custs[keep] + part_t[keep] * n_c, front_t[keep],
+                               ids_t[keep]))
+        front_t = row_t.grow(found[OUT_REV][-1][1], found[IN_FWD][-1][1])
+        front_c = row_c.grow(found[OUT_FWD][-1][0], found[IN_REV][-1][0])
 
     edges = {}   # relation -> ((src, dst, edge_txn), edges up to each hop)
     for rel, per_hop in found.items():
-        custs, txns = (np.concatenate(keys) for keys in zip(*per_hop))
-        rows = (row_t[txns], row_c[custs])
+        custs, keys_t, ids = (np.concatenate(keys) for keys in zip(*per_hop))
+        rows = (row_t[keys_t], row_c[custs])
         src, dst = rows if _REL_ENDS[rel][0] == "t" else rows[::-1]
-        edges[rel] = ((src, dst, split(txns, n_t)[1]),
-                      np.cumsum([len(t) for _, t in per_hop]))
+        edges[rel] = ((src, dst, ids), np.cumsum([len(t) for _, _, t in per_hop]))
     parts, nodes = [], []
-    for blocks, n in ((blocks_c, n_c), (blocks_t, n_t)):
-        part, ids = split(np.concatenate(blocks), n)
+    for rows in (row_c, row_t):
+        part, ids = (np.concatenate(a) for a in zip(*rows.blocks))
         parts.append(part)
-        nodes.append((ids, np.cumsum(list(map(len, blocks)))))
+        nodes.append((ids, np.cumsum([len(ids) for _, ids in rows.blocks])))
     return _subgraph(num_layers, *nodes, edges), tuple(parts)
 
 
@@ -572,39 +560,37 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
     severing equals rebuilding. `seed` is an int in [0, 2**64): training
     draws one per step, inference passes `config.seed`.
     """
-    _check_sampling(fanout, num_layers, seed)
-    seeds_c = np.asarray(seed_customers, dtype=np.int64).ravel()
-    seeds_t = np.asarray(seed_txns, dtype=np.int64).ravel()
-    if len(seeds_c) and (seeds_c.min() < 0 or seeds_c.max() >= g.n_customers):
-        raise ConfigError("seed customer index out of range")
-    if len(seeds_t) and (seeds_t.min() < 0 or seeds_t.max() >= g.n_transactions):
-        raise ConfigError("seed transaction index out of range")
-    return _sample(g, seeds_c, seeds_t, fanout, num_layers, seed,
-                   removed_out, removed_in)[0]
+    return _sample(g, _seed_ids(seed_customers, g.n_customers, "seed customer"),
+                   _seed_ids(seed_txns, g.n_transactions, "seed transaction"),
+                   fanout, num_layers, seed, removed_out, removed_in)[0]
 
 
-def sample_records(g: BipartiteGraph, txns, directions, counterparts,
+def sample_records(g: BipartiteGraph, customers, txns, directions, counterparts,
                    fanout: int, num_layers: int, seed
                    ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
-    """Sample many scored records in one pass, as one block-diagonal union.
+    """Sample the customers scored records decode against, and the
+    records, in one pass, as one block-diagonal union of parts.
 
-    Part p is the graph `g` plus one transaction, txns[p] (an index from
-    g.n_transactions on: n_transactions + k for the k-th row of a
-    `resolve_transactions` block), and seeded with it. The record predicts
-    its edge in directions[p], so the part holds only its other edge, to
-    customer counterparts[p] (-1 for none), at the end of that customer's
-    row. So part p has the nodes, edges and edge order of
-    `sample_neighborhood_nodes(g2, [], [txns[p]], ...)` on `g` rebuilt
+    Part 0 is the graph `g` as it stands, seeded with `customers`: it has
+    the nodes, edges and edge order of
+    `sample_neighborhood_nodes(g, customers, [], ...)`. Part p >= 1 is `g`
+    plus one transaction, txns[p-1] (an index from g.n_transactions on:
+    n_transactions + k for the k-th row of a `resolve_transactions`
+    block), and seeded with it. The record predicts its edge in
+    directions[p-1], so the part holds only its other edge, to customer
+    counterparts[p-1] (-1 for none), at the end of that customer's row. So
+    part p has the nodes, edges and edge order of
+    `sample_neighborhood_nodes(g2, [], [txns[p-1]], ...)` on `g` rebuilt
     with that one transaction and edge: `_cap` hashes node ids, not part
     keys.
 
     The union is hop-major: the parts' seeds, then each hop's newly reached
     nodes, sorted by (part, node) within the hop, so its levels are
-    prefixes as in any sample and level 0 holds txns in part order. No
-    edge joins two parts. Returns (union, (part_c, part_t)): the part of
-    each customer and transaction row.
+    prefixes as in any sample, and level 0 holds the sorted customers, then
+    txns in record order. No edge joins two parts. Returns (union, (part_c,
+    part_t)): the part of each customer and transaction row.
     """
-    _check_sampling(fanout, num_layers, seed)
+    customers = _seed_ids(customers, g.n_customers, "seed customer")
     txns = np.asarray(txns, dtype=np.int64).ravel()
     counterparts = np.asarray(counterparts, dtype=np.int64).ravel()
     if not len(txns) == len(directions) == len(counterparts):
@@ -614,14 +600,13 @@ def sample_records(g: BipartiteGraph, txns, directions, counterparts,
         check_direction(direction)
     if len(txns) and txns.min() < g.n_transactions:
         raise ConfigError("record transaction index inside the reference graph")
-    if len(txns) and (counterparts.min() < -1 or counterparts.max() >= g.n_customers):
-        raise ConfigError("counterpart customer index out of range")
+    _seed_ids(counterparts + 1, g.n_customers + 1, "counterpart customer")
     # the counterpart edge is the direction not predicted
     predicts_out = np.array([d == OUTGOING for d in directions], dtype=bool)
     owners = (np.where(predicts_out, -1, counterparts),
               np.where(predicts_out, counterparts, -1))
-    return _sample(g, np.empty(0, dtype=np.int64), txns, fanout, num_layers,
-                   seed, appended=owners)
+    return _sample(g, customers, np.empty(0, dtype=np.int64), fanout, num_layers,
+                   seed, records=(txns, *owners))
 
 
 def chunk_parts(sub: Subgraph, parts, max_rows: int):
@@ -629,30 +614,41 @@ def chunk_parts(sub: Subgraph, parts, max_rows: int):
 
     A chunk closes before the part that would take its rows (of both
     types) past `max_rows`, so a part that alone holds more is a chunk of
-    its own. Yields (lo, hi, union of parts lo..hi-1): one mask over each
-    node type's rows and each relation's edges, rows renumbered by the
-    mask's running count, so each part keeps its rows and edges in order.
+    its own, and a part without rows (part 0 seeded with no customers)
+    joins the next. Yields (lo, hi, union of parts lo..hi-1): its rows of
+    each node type and edges of each relation in their order in `sub`, so
+    each part keeps its rows and edges in order.
     """
-    rows = np.bincount(np.concatenate(parts))   # every part has its seed row
+    rows = np.bincount(np.concatenate(parts))
     ends = np.cumsum(rows)
-    tau = {"c": 0, "t": 1}
+    # rows and edges grouped by part, in order within one; the part of an edge is its
+    # destination's. Grouping once keeps a chunk's cost to its own rows and edges.
+    part_of = dict(zip("ct", parts))
+    part_of.update({rel: part_of[dst_tau][sub.layers[0][rel][1]]
+                    for rel, (_, dst_tau) in _REL_ENDS.items()})
+    groups = {key: (np.argsort(part, kind="stable"),
+                    np.concatenate([[0], np.cumsum(np.bincount(part, minlength=len(rows)))]))
+              for key, part in part_of.items()}
+    new_row = {tau: np.empty(len(part), dtype=np.int64) for tau, part in zip("ct", parts)}
     lo = 0
     while lo < len(rows):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - rows[lo] + max_rows,
-                                             side="right")))
-        keep = [(lo <= part) & (part < hi) for part in parts]
-        before = [np.concatenate([[0], np.cumsum(k)]) for k in keep]  # kept rows before
-        nodes = [(levels[-1][k], b[[len(level) for level in levels]])
-                 for levels, k, b in zip((sub.levels_c, sub.levels_t), keep, before)]
+        start = ends[lo] - rows[lo]
+        hi = max(int(np.searchsorted(ends, start, side="right")) + 1,
+                 int(np.searchsorted(ends, start + max_rows, side="right")))
+        take = {key: np.sort(order[first[lo]:first[hi]])
+                for key, (order, first) in groups.items()}
+        nodes = []
+        for tau, levels in zip("ct", (sub.levels_c, sub.levels_t)):
+            new_row[tau][take[tau]] = np.arange(len(take[tau]))
+            nodes.append((levels[-1][take[tau]],
+                          np.searchsorted(take[tau], [len(level) for level in levels])))
         edges = {}
         for rel, (src_tau, dst_tau) in _REL_ENDS.items():
-            src, dst, txn = sub.layers[0][rel]
-            mask = keep[tau[dst_tau]][dst]
+            src, dst, txn = (a[take[rel]] for a in sub.layers[0][rel])
             # edges up to hop k are layer depth-1-k
-            ends_rel = np.concatenate([[0], np.cumsum(mask)])[
-                [len(sub.layers[sub.depth - 1 - k][rel][2]) for k in range(sub.depth)]]
-            edges[rel] = ((before[tau[src_tau]][src[mask]],
-                           before[tau[dst_tau]][dst[mask]], txn[mask]), ends_rel)
+            hops = [len(sub.layers[sub.depth - 1 - k][rel][2]) for k in range(sub.depth)]
+            edges[rel] = ((new_row[src_tau][src], new_row[dst_tau][dst], txn),
+                          np.searchsorted(take[rel], hops))
         yield lo, hi, _subgraph(sub.depth, *nodes, edges)
         lo = hi
 

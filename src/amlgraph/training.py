@@ -9,11 +9,11 @@ never peek at the edge it is asked to make.
 Scoring leaves the reference graph as it is. Each record sees it plus
 its own transaction and that transaction's counterpart (non-predicted)
 edge: the transaction embedding is computed through that sampled
-neighborhood and decoded against the predicted customer's embedding from
-the reference graph alone. New transactions pass `build_graph`'s record
-check.
-A block of records is sampled in one call, as the block-diagonal union of
-their samples, and encoded in chunks of whole records; each record's
+neighborhood and decoded against the predicted customer's embedding over
+the graph as it stands. New transactions pass `build_graph`'s record
+check. A block of records is sampled in one call, as the block-diagonal
+union of their samples, with the customers they decode against as part 0
+(the graph as it stands), and encoded in chunks of whole parts; each
 result is bit-identical to sampling and encoding it alone.
 
 A node's neighbor sample is a pure function of (seed, node, relation,
@@ -36,8 +36,7 @@ from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
                     RawTransaction, as_rng, check_direction, chunk_parts,
                     read_records, resolve_transactions, sample_negatives,
-                    sample_neighborhood, sample_neighborhood_nodes,
-                    sample_records)
+                    sample_neighborhood, sample_records)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
 from .ndtensor import Tensor, bce, gather_rows, reshape, scale, zero_grad
 
@@ -46,7 +45,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # sampled input rows of one scoring encode: about 150 records at 2 layers,
 # which amortizes per-op overhead, and about 1 MB per array at any depth.
-# Also the most records sampled in one call, as each has at least one row.
+# Also the most records sampled in one call, as each has at least one row;
+# the first call also samples part 0, the customers decoded against.
 _SCORE_CHUNK_ROWS = 1 << 12
 _PAIR_CHUNK = 2048   # pairs `validation_loss`/`predict_pairs` encode at once
 
@@ -393,13 +393,14 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     Transactions are scored independently: a record sees the reference
     graph `g` plus its transaction, attached by its counterpart
     (non-predicted) edge only, so other new transactions stay invisible;
-    the customer side of the decoder comes from `g` alone, and `g` is not
-    changed. A transaction `build_graph` would refuse, or whose id is in
-    `g` or repeated, raises IngestError (`resolve_transactions`). Every
-    sample is drawn at `config.seed` and is a function of the node and its
-    surviving edges alone. Up to `_SCORE_CHUNK_ROWS` records are sampled in
-    one `sample_records` call, each record its own part of a block-diagonal
-    union, and encoded in chunks of whole records (`chunk_parts`); the
+    the customer side of the decoder comes from `g` as it stands, and `g`
+    is not changed. A transaction `build_graph` would refuse, or whose id
+    is in `g` or repeated, raises IngestError (`resolve_transactions`).
+    Every sample is drawn at `config.seed` and is a function of the node
+    and its surviving edges alone. Up to `_SCORE_CHUNK_ROWS` records are
+    sampled in one `sample_records` call, each record its own part of a
+    block-diagonal union; the first call's part 0 is every customer decoded
+    against. Each chunk of whole parts (`chunk_parts`) is encoded once; the
     encoder's products are row-exact, so each record's result is
     bit-identical to scoring its transaction alone, in any batch or order.
     A non-finite score raises NumericalError.
@@ -407,13 +408,6 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     if not new_transactions:
         return []
     x_new, ends, cold = resolve_transactions(g, new_transactions)
-
-    # the decoder's customer side: final-layer embeddings over the reference graph
-    needed = np.unique(ends[ends >= 0])
-    ref_sub = sample_neighborhood_nodes(g, needed, [], config.fanout,
-                                        params.num_layers, config.seed)
-    z_ref, _ = encode(params, ref_sub, g.x_c, g.x_t)
-    ref = dict(zip(needed.tolist(), z_ref.data[ref_sub.seed_positions_c(needed)]))
     # (transaction row, direction, side: 0 source or 1 dest, customer id);
     # an EXTERNAL side has no edge to predict
     records = [(k, direction, side, cust_id)
@@ -423,19 +417,24 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
                if ends[k, side] >= 0 or cold[k, side]]
     y_hat = np.full(len(records), np.nan)
     warm = [j for j, (k, _, side, _) in enumerate(records) if not cold[k, side]]
+    # the customers decoded against, and each record's row among them
+    needed = np.unique(ends[ends >= 0])
+    cust_row = np.searchsorted(needed, [ends[k, side] for k, _, side, _ in records])
     # every record has an input row, so a block fills at least one chunk
     for lo in range(0, len(warm), _SCORE_CHUNK_ROWS):
         block = [records[j] for j in warm[lo:lo + _SCORE_CHUNK_ROWS]]
         union, parts = sample_records(
-            g, [g.n_transactions + k for k, _, _, _ in block],
+            g, needed if lo == 0 else [], [g.n_transactions + k for k, _, _, _ in block],
             [direction for _, direction, _, _ in block],
             [ends[k, 1 - side] for k, _, side, _ in block], config.fanout,
             params.num_layers, config.seed)
         for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
-            _, z_t = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
-            # a chunk's level 0 is its records' transactions, in order
-            z_cust = Tensor(np.stack([ref[ends[k, side]] for k, _, side, _ in block[a:b]]))
-            y_hat[warm[lo + a:lo + b]] = decode(params.w_dec, z_cust, z_t).data[:, 0]
+            z_c, z_t = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
+            if lo == a == 0:   # part 0: `needed` over the graph as it stands
+                z_ref = z_c.data
+            # part p is block[p - 1], and its transaction the chunk's next level-0 one
+            at = warm[lo + max(a, 1) - 1:lo + b - 1]
+            y_hat[at] = decode(params.w_dec, Tensor(z_ref[cust_row[at]]), z_t).data[:, 0]
     if not np.all(np.isfinite(y_hat[warm])):
         raise NumericalError("a score is not finite: the model, graph or "
                              "transactions hold values too large to encode")

@@ -477,6 +477,17 @@ class TestExitCodes:
         assert run("gen-data", "--out-dir", str(tmp_path / "d"),
                    "--no-such-flag", "7") == 1
 
+    def test_embedding_widths_differ_is_2(self, tmp_path, capsys):
+        narrow, wide = tmp_path / "narrow.tsv", tmp_path / "wide.tsv"
+        narrow.write_text("node_type\tnode_id\tv0\tv1\ncustomer\tc0\t0.5\t1\n")
+        wide.write_text("node_type\tnode_id\tv0\tv1\tv2\ncustomer\tc0\t0.5\t1\t2\n")
+        out = tmp_path / "drift.jsonl"
+        assert run("diverge", "--embeddings", str(narrow), str(wide),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "snapshot 1" in err
+
 
 class TestMalformedInput:
     """Bad data ends in exit 2 with no output file, never a traceback."""

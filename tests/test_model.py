@@ -456,10 +456,12 @@ def with_record(g, x_new, txn, counterpart, direction):
 
 
 class TestRecordSampler:
-    """`sample_records` cut by `chunk_parts`: each record is a part with the
-    nodes and edges of the reference graph rebuilt with the appended
-    transactions and that record's counterpart edge only, and its encoded
-    row has the bits of that sample's; batched scoring relies on it."""
+    """`sample_records` cut by `chunk_parts`: part 0 is the reference graph
+    seeded with the customers records decode against, with the nodes and
+    edges of their sample alone; each record is a part with the nodes and
+    edges of the reference graph rebuilt with the appended transactions
+    and that record's counterpart edge only. Each part's encoded rows have
+    the bits of its sample alone; batched scoring relies on it."""
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -488,21 +490,31 @@ class TestRecordSampler:
         directions = [d for _, d in records]
         # the counterpart is the side the record does not predict
         counterparts = [ends[j][1 if d == gr.OUTGOING else 0] for j, d in records]
+        # part 0's customers: none, the hub, or any subset
+        customers = data.draw(st.one_of(
+            st.just([]), st.just([hub]),
+            st.lists(st.integers(0, g.n_customers - 1), unique=True)), label="customers")
         seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
 
         rebuilt = [with_record(g, x_new, txn, c, d)
                    for txn, c, d in zip(txns, counterparts, directions)]
         alone = [gr.sample_neighborhood_nodes(g2, [], [txn], fanout, layers, seed)
                  for g2, txn in zip(rebuilt, txns)]
-        union, parts = gr.sample_records(g, txns, directions, counterparts,
+        part0 = gr.sample_neighborhood_nodes(g, customers, [], fanout, layers, seed)
+        union, parts = gr.sample_records(g, customers, txns, directions, counterparts,
                                          fanout, layers, seed)
+        assert union.levels_c[0].tolist() == sorted(customers)
         assert union.levels_t[0].tolist() == txns
         for levels in (union.levels_c, union.levels_t):
             for h in range(union.depth):
                 assert levels[h].tolist() == levels[h + 1][:len(levels[h])].tolist()
         # a budget of one row makes each part a chunk: the sample alone
-        for (lo, hi, chunk), sub in zip(gr.chunk_parts(union, parts, 1), alone,
-                                        strict=True):
+        # (part 0 without customers has no rows and joins the first record)
+        firsts = [0, 1] if customers else [0]
+        chunks = list(gr.chunk_parts(union, parts, 1))
+        assert [lo for lo, _, _ in chunks] == firsts + list(range(2, len(records) + 1))
+        for (_, _, chunk), sub in zip(chunks, ([part0] if customers else []) + alone,
+                                      strict=True):
             for got, want in ((chunk.levels_c, sub.levels_c),
                               (chunk.levels_t, sub.levels_t)):
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
@@ -510,33 +522,43 @@ class TestRecordSampler:
                 assert {rel: [a.tolist() for a in arrays] for rel, arrays in got.items()} == \
                        {rel: [a.tolist() for a in arrays] for rel, arrays in want.items()}
 
-        rows = [len(s.levels_c[-1]) + len(s.levels_t[-1]) for s in alone]
+        rows = [len(s.levels_c[-1]) + len(s.levels_t[-1]) for s in [part0, *alone]]
         budget = data.draw(st.integers(1, sum(rows) + 1), label="budget")
-        encoded, at = [], 0
+        z_part0, encoded, at = None, [], 0
         for lo, hi, chunk in gr.chunk_parts(union, parts, budget):
-            # greedy: the chunk fits unless it is one part, the next would not
-            assert lo == at < hi and (hi == lo + 1 or sum(rows[lo:hi]) <= budget)
+            # greedy: the chunk fits unless it is one part with rows, the next would not
+            assert lo == at < hi
+            assert sum(rows[lo:hi]) <= budget or np.count_nonzero(rows[lo:hi]) == 1
             assert hi == len(rows) or sum(rows[lo:hi + 1]) > budget
-            assert chunk.levels_t[0].tolist() == txns[lo:hi]
-            encoded.extend(md.encode(params, chunk, g.x_c, g.x_t, x_new=x_new)[1].data)
+            assert chunk.levels_t[0].tolist() == txns[max(lo, 1) - 1:hi - 1]
+            z_c, z_t = md.encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
+            if lo == 0:
+                z_part0 = z_c.data
+            encoded.extend(z_t.data)
             at = hi
-        assert at == len(records)
+        assert at == len(records) + 1
+        if customers:
+            assert z_part0.tobytes() == md.encode(params, part0, g.x_c, g.x_t)[0].data.tobytes()
+        else:
+            assert z_part0.shape == (0, hidden)
         for row, sub, g2 in zip(encoded, alone, rebuilt, strict=True):
             assert row.tobytes() == md.encode(params, sub, g2.x_c, g2.x_t)[1].data[0].tobytes()
 
     def test_bad_records_rejected(self):
         g = make_graph(seed=28)
         n, out = g.n_transactions, gr.OUTGOING
-        for txns, directions, counterparts in (
-                ([n - 1], [out], [0]),                 # inside the reference graph
-                ([n], ["sideways"], [0]),
-                ([n, n], [out], [0, 0]),               # mismatched lengths
-                ([n, n + 1], [out, out], [0]),
-                ([n], [out], [g.n_customers]),         # counterpart out of range
-                ([n], [out], [-2])):
+        for customers, txns, directions, counterparts in (
+                ([], [n - 1], [out], [0]),             # inside the reference graph
+                ([], [n], ["sideways"], [0]),
+                ([], [n, n], [out], [0, 0]),           # mismatched lengths
+                ([], [n, n + 1], [out, out], [0]),
+                ([], [n], [out], [g.n_customers]),     # counterpart out of range
+                ([], [n], [out], [-2]),
+                ([g.n_customers], [n], [out], [0]),    # part-0 customer out of range
+                ([0, -1], [n], [out], [0])):
             with pytest.raises(ConfigError):
-                gr.sample_records(g, txns, directions, counterparts, fanout=2,
-                                  num_layers=1, seed=0)
+                gr.sample_records(g, customers, txns, directions, counterparts,
+                                  fanout=2, num_layers=1, seed=0)
 
 
 class TestGradients:
