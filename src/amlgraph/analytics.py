@@ -183,8 +183,9 @@ def export_embeddings(params: ModelParams, g: BipartiteGraph, path: str,
 def read_embeddings(path: str) -> tuple[dict, dict]:
     """Inverse of export_embeddings: ({customer: vec}, {transaction: vec}).
 
-    Text that is not UTF-8, a malformed row and a non-finite coordinate
-    raise IngestError naming the file (and line).
+    Text that is not UTF-8, a header without coordinate columns, a
+    malformed row and a non-finite coordinate raise IngestError naming the
+    file (and line).
     """
     customers: dict[str, np.ndarray] = {}
     txns: dict[str, np.ndarray] = {}
@@ -193,6 +194,8 @@ def read_embeddings(path: str) -> tuple[dict, dict]:
             header = fh.readline().rstrip("\n").split("\t")
             if header[:2] != ["node_type", "node_id"]:
                 raise IngestError(f"{path}: not an embedding export")
+            if len(header) < 3:
+                raise IngestError(f"{path}: embedding export has no coordinate columns")
             for lineno, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != len(header):

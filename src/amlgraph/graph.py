@@ -359,8 +359,8 @@ def _flat_neighbors(indptr, indices, frontier):
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), counts
-    starts = np.repeat(indptr[frontier], counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = indptr[frontier].repeat(counts)
+    offsets = np.arange(total, dtype=np.int64) - (counts.cumsum() - counts).repeat(counts)
     return indices[starts + offsets], counts
 
 
@@ -387,15 +387,15 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     if not over.any():
         return nbrs, counts
     n_over = counts[over]
-    group = np.repeat(np.arange(n_over.size), n_over)
+    group = np.arange(n_over.size).repeat(n_over)
     # position in the owner's row, and each key's rank once sorted
-    pos = np.arange(group.size) - np.repeat(np.cumsum(n_over) - n_over, n_over)
+    pos = np.arange(group.size) - (n_over.cumsum() - n_over).repeat(n_over)
     base = _splitmix64(_splitmix64(np.array([seed], dtype=np.uint64))
                        ^ np.uint64(relation))
     owner_key = _splitmix64(base ^ owners_frontier[over].astype(np.uint64))
     keys = _splitmix64(owner_key[group] + pos.astype(np.uint64) * _GOLDEN)
     chosen = np.lexsort((keys, group))[pos < fanout]
-    keep = np.repeat(~over, counts)
+    keep = (~over).repeat(counts)
     keep[np.flatnonzero(~keep)[chosen]] = True
     return nbrs[keep], np.minimum(counts, fanout)
 
@@ -407,7 +407,7 @@ def _filter_removed(nbrs, counts, removed):
     keep = ~removed[nbrs]
     if keep.all():
         return nbrs, counts
-    owner_pos = np.repeat(np.arange(len(counts)), counts)
+    owner_pos = np.arange(len(counts)).repeat(counts)
     new_counts = np.bincount(owner_pos[keep], minlength=len(counts))
     return nbrs[keep], new_counts
 
@@ -415,6 +415,23 @@ def _filter_removed(nbrs, counts, removed):
 # (source, destination) node type of each relation
 _REL_ENDS = {OUT_FWD: ("c", "t"), OUT_REV: ("t", "c"),
              IN_FWD: ("t", "c"), IN_REV: ("c", "t")}
+
+
+def _insert_sorted(at, *pairs):
+    """np.insert(a, at, v) for each (a, v) of `pairs`, for non-decreasing
+    `at`: v[j] lands at at[j] + j and a's items fill the other places, in
+    order. It skips np.insert's general index handling, the larger part of
+    its cost on the sampler's short arrays."""
+    pos = at + np.arange(len(at))
+    old = np.ones(len(pairs[0][0]) + len(at), dtype=bool)
+    old[pos] = False
+    out = []
+    for a, v in pairs:
+        merged = np.empty(len(old), dtype=a.dtype)
+        merged[old] = a
+        merged[pos] = v
+        out.append(merged)
+    return out
 
 
 class _Rows:
@@ -425,7 +442,7 @@ class _Rows:
     each grow's keys; the sorted keys end in a sentinel no key reaches."""
 
     def __init__(self, n):
-        self.n, self.blocks = n, []
+        self.n, self.blocks, self.size = n, [], 0
         self.dense = np.full(n, -1, dtype=np.int64)
         self.keys, self.rows = np.array([np.iinfo(np.int64).max]), np.array([-1])
 
@@ -433,7 +450,7 @@ class _Rows:
         dense = keys < self.n
         if dense.all():
             return self.dense[keys]
-        pos = np.searchsorted(self.keys, keys)
+        pos = self.keys.searchsorted(keys)
         out = np.where(self.keys[pos] == keys, self.rows[pos], -1)
         out[dense] = self.dense[keys[dense]]
         return out
@@ -443,13 +460,19 @@ class _Rows:
         returns those keys, sorted, as a new block."""
         reached = np.concatenate(reached)
         new = np.sort(reached[self[reached] < 0])
-        new = new[np.diff(new, prepend=-1) > 0]   # faster than np.unique's hashing
-        rows = np.arange(len(new)) + sum(len(ids) for _, ids in self.blocks)
-        split = np.searchsorted(new, self.n)
+        if len(new) > 1:   # drop repeats; faster than np.unique's hashing
+            first = np.empty(len(new), dtype=bool)
+            first[0] = True
+            np.not_equal(new[1:], new[:-1], out=first[1:])
+            new = new[first]
+        rows = np.arange(self.size, self.size + len(new))
+        self.size += len(new)
+        split = new.searchsorted(self.n)
         self.dense[new[:split]] = rows[:split]
-        at = np.searchsorted(self.keys, new[split:])
-        self.keys = np.insert(self.keys, at, new[split:])
-        self.rows = np.insert(self.rows, at, rows[split:])
+        if split < len(new):
+            self.keys, self.rows = _insert_sorted(self.keys.searchsorted(new[split:]),
+                                                  (self.keys, new[split:]),
+                                                  (self.rows, rows[split:]))
         part = new // self.n   # faster than np.divmod
         self.blocks.append((part, new - part * self.n))
         return new
@@ -513,11 +536,11 @@ def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
             nbrs, counts = _filter_removed(nbrs, counts, removed)
             at = np.flatnonzero(ids_c == owner[part_c])
             if len(at):   # a record's counterpart edge ends its owner's row
-                nbrs = np.insert(nbrs, np.cumsum(counts)[at], txn_of[part_c[at]])
+                nbrs, = _insert_sorted(counts.cumsum()[at], (nbrs, txn_of[part_c[at]]))
                 counts = counts + np.bincount(at, minlength=len(counts))
             nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed, RELATIONS.index(rel))
-            found[rel].append((np.repeat(front_c, counts),
-                               nbrs + np.repeat(part_c * n_t, counts), nbrs))
+            found[rel].append((front_c.repeat(counts),
+                               nbrs + (part_c * n_t).repeat(counts), nbrs))
         graph = ids_t < g.n_transactions   # else a record's own transaction
         for rel, ends, owner in ((OUT_FWD, ends_out, owner_out), (IN_REV, ends_in, owner_in)):
             custs = owner[part_t]
@@ -615,12 +638,16 @@ def chunk_parts(sub: Subgraph, parts, max_rows: int):
     A chunk closes before the part that would take its rows (of both
     types) past `max_rows`, so a part that alone holds more is a chunk of
     its own, and a part without rows (part 0 seeded with no customers)
-    joins the next. Yields (lo, hi, union of parts lo..hi-1): its rows of
-    each node type and edges of each relation in their order in `sub`, so
-    each part keeps its rows and edges in order.
+    joins the next; a union within the budget is one chunk, `sub` itself.
+    Yields (lo, hi, union of parts lo..hi-1): its rows of each node type
+    and edges of each relation in their order in `sub`, so each part keeps
+    its rows and edges in order.
     """
     rows = np.bincount(np.concatenate(parts))
     ends = np.cumsum(rows)
+    if len(rows) and ends[-1] <= max_rows:   # one chunk: the union as it is
+        yield 0, len(rows), sub
+        return
     # rows and edges grouped by part, in order within one; the part of an edge is its
     # destination's. Grouping once keeps a chunk's cost to its own rows and edges.
     part_of = dict(zip("ct", parts))

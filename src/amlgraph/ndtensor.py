@@ -156,6 +156,13 @@ def _row_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     into blocks of at most _INNER_BLOCK whose products are added in order
     (BLAS blocks a longer one differently at different row counts). A
     record encoded inside a batch thus gets the bits it gets alone.
+
+    `_head_dot` relies on a fourth condition, which no padding enforces:
+    each output column's bits do not depend on the other columns of b, so
+    an attention row scored beside another gets the bits it gets alone.
+    tests/test_ndtensor.py::TestRowExact::test_head_dot_side_by_side checks
+    it on the BLAS in use; a BLAS that fails it breaks `gat_aggregate`'s
+    bits.
     """
     m, n = a.shape[0], b.shape[1]
     if m == 1:
@@ -379,7 +386,7 @@ def _scatter_add(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of x: out[i] = x[idx[i]]. Backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(np.take(x.data, idx, axis=0), x.requires_grad)
+    out = Tensor(x.data.take(idx, axis=0), x.requires_grad)
 
     def backward(g):
         return (_scatter_add(g, idx, x.shape[0]),)
@@ -405,7 +412,7 @@ def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add(x.data, segments, num_segments), x.requires_grad)
 
     def backward(g):
-        return (np.take(g, segments, axis=0),)
+        return (g.take(segments, axis=0),)
 
     return _maybe_record(out, (x,), backward)
 
@@ -419,21 +426,26 @@ def _softmax(d: np.ndarray, segments: np.ndarray, n: int,
     ``concat([segments, arange(n)])``. Returns the coefficients of d's rows
     and of last's."""
     m = np.full((n,) + d.shape[1:], -np.inf)
-    if len(d):   # max is exact, so each segment's may be taken in any order
-        order = np.argsort(segments, kind="stable")
-        sorted_ids = np.take(segments, order)
-        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-        m[sorted_ids[starts]] = np.maximum.reduceat(np.take(d, order, axis=0), starts,
-                                                    axis=0)
+    # max is exact, so each segment's may be taken in any order; the sampler
+    # gives each relation's edges in segment order already
+    ids, rows = segments, d
+    step = ids[1:] - ids[:-1]
+    if (step < 0).any():
+        order = np.argsort(ids, kind="stable")
+        ids, rows = ids.take(order), d.take(order, axis=0)
+        step = ids[1:] - ids[:-1]
+    if len(ids):
+        starts = np.concatenate([[0], np.flatnonzero(step) + 1])
+        m[ids[starts]] = np.maximum.reduceat(rows, starts, axis=0)
     if last is not None:
         np.maximum(m, last, out=m)
-    e = np.exp(d - np.take(m, segments, axis=0))
+    e = np.exp(d - m.take(segments, axis=0))
     denom = _scatter_add(e, segments, n)
     if last is None:
-        return e / np.take(denom, segments, axis=0), None
+        return e / denom.take(segments, axis=0), None
     e_last = np.exp(last - m)
     denom += e_last
-    return e / np.take(denom, segments, axis=0), e_last / denom
+    return e / denom.take(segments, axis=0), e_last / denom
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray, segments: np.ndarray, n: int,
@@ -444,10 +456,10 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray, segments: np.ndarray, n: int
     gy = g * y
     dot = _scatter_add(gy, segments, n)
     if y_last is None:
-        return gy - y * np.take(dot, segments, axis=0), None
+        return gy - y * dot.take(segments, axis=0), None
     gy_last = g_last * y_last
     dot += gy_last
-    return gy - y * np.take(dot, segments, axis=0), gy_last - y_last * dot
+    return gy - y * dot.take(segments, axis=0), gy_last - y_last * dot
 
 
 def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
@@ -474,37 +486,40 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
 
 
 @functools.cache
-def _head_blocks(heads: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each nonzero of a (width, heads) block-diagonal
-    matrix whose column k covers head k's block of rows."""
-    cols = np.repeat(_cols(heads), width // heads)
-    cols.flags.writeable = False   # shared by every caller
-    return _cols(width), cols
+def _head_blocks(heads: int, width: int, r: int = 1) -> np.ndarray:
+    """Flat positions of the nonzeros of r (width, heads) block-diagonals
+    side by side in a (width, r*heads) matrix: entry j*width + i is the
+    position of row i in column j*heads + k, k being the head whose block
+    of rows holds row i."""
+    cols = np.repeat(_cols(heads), width // heads) + heads * _cols(r)[:, None]
+    flat = (_cols(width) * (r * heads) + cols).ravel()
+    flat.flags.writeable = False   # shared by every caller
+    return flat
 
 
 def _block_diag(a: np.ndarray, heads: int) -> np.ndarray:
-    """The (heads*d, heads) block-diagonal matrix whose column k holds
-    block k of the row a: (1, heads*d)."""
-    rows, cols = _head_blocks(heads, a.shape[1])
-    blocks = np.zeros((a.shape[1], heads))
-    blocks[rows, cols] = a[0]
+    """The (heads*d, r*heads) matrix whose column j*heads + k holds block k
+    of row j of a: (r, heads*d), zeros elsewhere; block-diagonal for r = 1,
+    and r such matrices side by side."""
+    blocks = np.zeros((a.shape[1], len(a) * heads))
+    blocks.ravel()[_head_blocks(heads, a.shape[1], len(a))] = a.ravel()
     return blocks
 
 
 def _head_dot(h: np.ndarray, a: np.ndarray, heads: int) -> np.ndarray:
-    """Per-head inner products: out[i, k] = <h[i, block k], a[0, block k]>.
+    """Per-head inner products: out[i, j*heads + k] = <h[i, block k],
+    a[j, block k]>.
 
-    h is (n, heads*d) and a is (1, heads*d); out is (n, heads). One
-    row-exact product with a block-diagonal copy of a, so the product h*a
-    is never formed.
+    h is (n, heads*d) and a is (r, heads*d); out is (n, r*heads). One
+    row-exact product with a's rows as block-diagonals side by side, so the
+    product h*a is never formed; each row of a gets the bits it gets alone.
     """
     return _row_exact(h, _block_diag(a, heads))
 
 
 def _head_dot_grad(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """d(sum of g * _head_dot(h, a, heads))/da, shaped like a: (1, heads*d)."""
-    rows, cols = _head_blocks(g.shape[1], h.shape[1])
-    return (h.T @ g)[rows, cols][None]
+    return (h.T @ g).ravel()[_head_blocks(g.shape[1], h.shape[1])][None]
 
 
 def _head_sums(x: np.ndarray, heads: int) -> np.ndarray:
@@ -554,10 +569,12 @@ def gat_aggregate(h_src: Tensor, h_self: Tensor, a_src: Tensor, a_dst: Tensor,
     dst = np.asarray(dst, dtype=np.int64)
     if src.ndim != 1 or src.shape != dst.shape:
         raise DimensionError(f"edge lists differ: src {src.shape}, dst {dst.shape}")
-    rows = np.take(h_src.data, src, axis=0)
-    s_dst = _head_dot(h_self.data, a_dst.data, heads)
-    pre_edge = np.take(s_dst, dst, axis=0) + _head_dot(rows, a_src.data, heads)
-    pre_self = s_dst + _head_dot(h_self.data, a_src.data, heads)
+    rows = h_src.data.take(src, axis=0)
+    # a row-exact product scores each attention row beside another as alone
+    s_self = _head_dot(h_self.data, np.concatenate([a_dst.data, a_src.data]), heads)
+    s_dst = s_self[:, :heads]
+    pre_edge = s_dst.take(dst, axis=0) + _head_dot(rows, a_src.data, heads)
+    pre_self = s_dst + s_self[:, heads:]
     edge_slope, self_slope = _leaky_slope(pre_edge), _leaky_slope(pre_self)
     edge_alpha, self_alpha = _softmax(pre_edge * edge_slope, dst, n, pre_self * self_slope)
     agg = _scatter_add(_head_scale(rows, edge_alpha), dst, n)
@@ -566,7 +583,7 @@ def gat_aggregate(h_src: Tensor, h_self: Tensor, a_src: Tensor, a_dst: Tensor,
                  or a_src.requires_grad or a_dst.requires_grad)
 
     def backward(g):
-        g_rows = np.take(g, dst, axis=0)
+        g_rows = g.take(dst, axis=0)
         # through the coefficients: the softmax, then each logit's leaky relu
         g_edge, g_self = _softmax_backward(
             _head_sums(g_rows * rows, heads), edge_alpha, dst, n,

@@ -403,6 +403,18 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_embedding_without_coordinates_is_2(self, tmp_path, capsys):
+        """A header of only node_type and node_id is malformed input, not a
+        zero vector to divide by."""
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("node_type\tnode_id\ncustomer\tc0\n")
+        out = tmp_path / "drift.jsonl"
+        assert run("diverge", "--embeddings", str(emb), str(emb),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(emb) in err
+
     def test_config_threshold_applied(self, tmp_path):
         emb = self._two_snapshots(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -466,6 +466,33 @@ class TestNeighborhood:
             gr.sample_neighborhood_nodes(g, [99], [], fanout=2, num_layers=1, seed=0)
 
 
+class TestRows:
+    """`graph._Rows`, the sampler's row map: dense below n, sorted keys
+    from n up, merged in as each grow reaches them."""
+
+    @given(data=st.data(), n=st.integers(1, 12), parts=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_grow_matches_dict(self, data, n, parts):
+        key = st.one_of(st.integers(0, n - 1), st.integers(n, n * (parts + 1) - 1))
+        rows, ref, blocks = gr._Rows(n), {}, []
+        every_key = np.arange(n * (parts + 1) + 2)
+        for _ in range(data.draw(st.integers(1, 6), label="grows")):
+            reached = data.draw(st.lists(st.lists(key, max_size=10), min_size=1, max_size=3),
+                                label="reached")
+            if ref and data.draw(st.booleans(), label="known keys"):
+                reached.append(data.draw(st.lists(st.sampled_from(sorted(ref)), min_size=1),
+                                         label="known"))
+            new = rows.grow(*(np.array(r, dtype=np.int64) for r in reached))
+            want = sorted({k for r in reached for k in r} - set(ref))
+            assert new.tolist() == want
+            ref.update((k, len(ref)) for k in want)
+            blocks.append(([k // n for k in want], [k % n for k in want]))
+            assert rows[every_key].tolist() == [ref.get(int(k), -1) for k in every_key]
+            assert np.all(rows.keys[1:] > rows.keys[:-1])
+            assert rows.keys[-1] == np.iinfo(np.int64).max
+            assert [(p.tolist(), i.tolist()) for p, i in rows.blocks] == blocks
+
+
 class TestSever:
     """Severing is the sampler's removed_out/removed_in mask; the oracle is
     the same records rebuilt with the severed endpoints set to EXTERNAL."""

@@ -537,6 +537,10 @@ class TestRecordSampler:
             encoded.extend(z_t.data)
             at = hi
         assert at == len(records) + 1
+        # a union within the budget is its own chunk: `sub` itself
+        for budget in (sum(rows), sum(rows) + 1):
+            (lo, hi, chunk), = gr.chunk_parts(union, parts, budget)
+            assert (lo, hi) == (0, len(records) + 1) and chunk is union
         if customers:
             assert z_part0.tobytes() == md.encode(params, part0, g.x_c, g.x_t)[0].data.tobytes()
         else:

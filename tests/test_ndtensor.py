@@ -510,9 +510,14 @@ class TestGatAggregate:
         arrays = gat_inputs(rng, 40, 40, heads, 5)
         w = rng.normal(size=(40, 5 * heads))
         distinct, grouped = rng.permutation(40)[:30], rng.integers(0, 6, 30)
+        # a shuffle of the edges that keeps each grouped node's edges in order
+        shuffled = rng.permutation(30)
+        for node in np.unique(grouped):
+            shuffled[grouped[shuffled] == node] = np.flatnonzero(grouped == node)
         for src, dst in ((distinct, grouped), (grouped, distinct)):
             runs = []
-            for order in (np.arange(30), np.argsort(grouped, kind="stable")):
+            # grouped destinations come unsorted, shuffled and sorted (no argsort)
+            for order in (np.arange(30), shuffled, np.argsort(grouped, kind="stable")):
                 tensors = [nd.Tensor(x, requires_grad=True) for x in arrays]
                 with nd.Tape() as tape:
                     out, edge_alpha, _ = nd.gat_aggregate(*tensors, src[order], dst[order],
@@ -521,8 +526,36 @@ class TestGatAggregate:
                 tape.backward(loss)
                 runs.append([out.data, edge_alpha[np.argsort(order)]]
                             + [t.grad for t in tensors])
-            for a, b in zip(*runs):
-                assert a.tobytes() == b.tobytes()
+            for run in runs[1:]:
+                for a, b in zip(runs[0], run, strict=True):
+                    assert a.tobytes() == b.tobytes()
+
+    @given(n=st.integers(1, 40), heads=st.sampled_from([1, 2, 4]), d_head=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_one_edge_per_destination(self, n, heads, d_head, seed):
+        """A relation whose destinations each have one edge (every
+        transaction destination): its softmax takes each edge's logit as
+        the max, in destination order with the op chain's bits, and
+        shuffled with the bits of the ordered edges, gradients too."""
+        rng = np.random.default_rng(seed)
+        arrays = gat_inputs(rng, n, n, heads, d_head)
+        dst = np.sort(rng.permutation(n)[:rng.integers(0, n + 1)])
+        src = rng.permutation(n)[:len(dst)]
+        w = rng.normal(size=(n, heads * d_head))
+        got = run_gat(arrays, src, dst, heads)
+        for g, want in zip(got, reference_gat_relation(*arrays, src, dst, heads), strict=True):
+            assert g.tobytes() == want.tobytes()
+        runs = []
+        for edges in (np.arange(len(dst)), rng.permutation(len(dst))):
+            tensors = [nd.Tensor(x, requires_grad=True) for x in arrays]
+            with nd.Tape() as tape:
+                out, edge_alpha, _ = nd.gat_aggregate(*tensors, src[edges], dst[edges], heads)
+                loss = nd.sum_all(nd.hadamard(out, nd.Tensor(w)))
+            tape.backward(loss)
+            runs.append([out.data, edge_alpha[np.argsort(edges)]] + [t.grad for t in tensors])
+        for a, b in zip(*runs, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_no_edges_gives_each_destination_itself(self):
         arrays = gat_inputs(RNG, 3, 4, 2, 3)
@@ -610,6 +643,26 @@ class TestRowExact:
             assert alone[1].tobytes() == whole[1][mine].tobytes()
             assert alone[2].tobytes() == whole[2][i:i + 1].tobytes()
 
+    @given(data=st.data(), m=ROWS, heads=st.sampled_from([1, 2, 4, 8]),
+           side=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_head_dot_side_by_side(self, data, m, heads, side, seed):
+        """Attention rows scored side by side, in one product with their
+        block-diagonals next to each other, give column block by column
+        block the bits of each row scored alone, at every row count. The
+        product widths side*heads include those (1-4 mod 8) that BLAS
+        rounds differently at different row counts."""
+        d_head = data.draw(st.integers(-(-16 // heads), 48), label="d_head")
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(m, heads * d_head))
+        a = rng.normal(size=(side, heads * d_head))
+        whole = nd._head_dot(h, a, heads)
+        assert whole.shape == (m, side * heads)
+        for j in range(side):
+            alone = nd._head_dot(h, a[j:j + 1], heads)
+            assert whole[:, j * heads:(j + 1) * heads].tobytes() == alone.tobytes(), j
+        self._check_rows(lambda x: nd._head_dot(x, a, heads), h, data)
+
     def test_values_match_plain_product(self):
         a, b = RNG.normal(size=(5, 300)), RNG.normal(size=(300, 3))
         np.testing.assert_allclose(nd.matmul(nd.Tensor(a), nd.Tensor(b)).data,
@@ -644,6 +697,36 @@ class TestOpSemantics:
         a = nd.segment_softmax(nd.Tensor(x), seg, 2).data
         b = nd.segment_softmax(nd.Tensor(x + 1000.0), seg, 2).data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @given(data=st.data(), n=st.integers(1, 30), heads=st.sampled_from([1, 4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_softmax_paths_match_unsorted_formula(self, data, n, heads, seed):
+        """_softmax skips the argsort for segment ids in order; unsorted,
+        repeated, in-order and one-per-segment ids all give the bits of the
+        per-entry formula (maximum.at, add.at), with and without a last
+        member per segment."""
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans(), label="one per segment"):
+            ids = rng.permutation(n)[:data.draw(st.integers(0, n), label="rows")]
+        else:
+            ids = rng.integers(0, n, data.draw(st.integers(0, 3 * n), label="rows"))
+        if data.draw(st.booleans(), label="in order"):
+            ids = np.sort(ids)
+        d = rng.normal(size=(len(ids), heads)) * 30
+        last = rng.normal(size=(n, heads)) * 30 if data.draw(st.booleans(), label="last") else None
+        rows = d if last is None else np.concatenate([d, last])
+        segments = ids if last is None else np.concatenate([ids, np.arange(n)])
+        m = np.full((n, heads), -np.inf)
+        np.maximum.at(m, segments, rows)
+        e = np.exp(rows - m[segments])
+        denom = np.zeros((n, heads))
+        np.add.at(denom, segments, e)
+        want = e / denom[segments]
+        y, y_last = nd._softmax(d, ids, n, last)
+        assert y.tobytes() == want[:len(ids)].tobytes()
+        if last is not None:
+            assert y_last.tobytes() == want[len(ids):].tobytes()
 
     def test_dropout_inference_identity(self):
         x = nd.Tensor(RNG.normal(size=(5, 5)))
