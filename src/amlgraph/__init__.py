@@ -13,8 +13,7 @@ from .model import (anomaly_score, decode, encode, init_params, load_model,
 from .training import (AnomalyResult, TrainingConfig, fit, link_loss,
                        score_transactions, train_step)
 from .evaluation import average_precision, roc_auc, roc_curve
-from .analytics import (cluster_transactions, cosine_similarity,
-                        divergence_report, export_embeddings)
+from .analytics import cosine_similarity, divergence_report, export_embeddings
 from .datagen import SyntheticConfig, generate, holdout_split
 
 __all__ = [
@@ -28,8 +27,7 @@ __all__ = [
     "AnomalyResult", "TrainingConfig", "fit", "link_loss",
     "score_transactions", "train_step",
     "average_precision", "roc_auc", "roc_curve",
-    "cluster_transactions", "cosine_similarity", "divergence_report",
-    "export_embeddings",
+    "cosine_similarity", "divergence_report", "export_embeddings",
     "SyntheticConfig", "generate", "holdout_split",
     "__version__",
 ]

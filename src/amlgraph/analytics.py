@@ -1,4 +1,4 @@
-"""Embedding analytics: drift reports, clustering, and export.
+"""Embedding analytics: drift reports and export.
 
 Embedding snapshots taken after retraining on successive periods let a
 reviewer watch one customer's behavior move: pairwise cosine matrices
@@ -17,8 +17,6 @@ from .graph import BipartiteGraph, full_subgraph
 from .model import ModelParams, encode
 
 DIVERGENCE_THRESHOLD = 0.8
-KMEANS_MAX_ITER = 100
-KMEANS_TOL = 1e-6
 
 
 def cosine_similarity(a, b) -> float:
@@ -83,64 +81,6 @@ def divergence_report(snapshots: Sequence[Mapping[str, np.ndarray]],
     return report
 
 
-@dataclass(frozen=True)
-class KMeansResult:
-    labels: np.ndarray
-    centers: np.ndarray
-    inertia: float
-    iterations: int
-
-
-def cluster_transactions(x: np.ndarray, k: int, seed: int = 0,
-                         max_iter: int = KMEANS_MAX_ITER,
-                         tol: float = KMEANS_TOL) -> KMeansResult:
-    """Lloyd's k-means with distance-squared weighted seeding.
-
-    Stops when no center moves more than `tol` or after `max_iter`
-    rounds. An emptied cluster keeps its previous center.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError("expected a 2-D (n, d) embedding matrix")
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must be in [1, {n}], got {k}")
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("embedding matrix contains non-finite values")
-    rng = np.random.default_rng(seed)
-
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for m in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # all points coincide with a center
-        centers[m] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[m]) ** 2).sum(axis=1))
-
-    labels = np.zeros(n, dtype=np.int64)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = dist.argmin(axis=1)
-        new_centers = centers.copy()
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                new_centers[c] = x[members].mean(axis=0)
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
-        if shift < tol:
-            break
-    dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = dist.argmin(axis=1)
-    inertia = float(dist[np.arange(n), labels].sum())
-    return KMeansResult(labels, centers, inertia, iterations)
-
-
 def compute_embeddings(params: ModelParams, g: BipartiteGraph,
                        layer: int | None = None):
     """Full-graph embeddings of every node at the chosen layer.
@@ -184,11 +124,10 @@ def read_embeddings(path: str) -> tuple[dict, dict]:
     """Inverse of export_embeddings: ({customer: vec}, {transaction: vec}).
 
     Text that is not UTF-8, a header without coordinate columns, a
-    malformed row and a non-finite coordinate raise IngestError naming the
-    file (and line).
+    malformed row, a non-finite coordinate and a second row of one node
+    raise IngestError naming the file (and line).
     """
-    customers: dict[str, np.ndarray] = {}
-    txns: dict[str, np.ndarray] = {}
+    tables: dict[str, dict[str, np.ndarray]] = {"customer": {}, "transaction": {}}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().rstrip("\n").split("\t")
@@ -207,12 +146,11 @@ def read_embeddings(path: str) -> tuple[dict, dict]:
                     raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
                 if not np.all(np.isfinite(vec)):
                     raise IngestError(f"{path}:{lineno}: non-finite embedding value")
-                if kind == "customer":
-                    customers[nid] = vec
-                elif kind == "transaction":
-                    txns[nid] = vec
-                else:
+                if kind not in tables:
                     raise IngestError(f"{path}:{lineno}: unknown node type {kind!r}")
+                if nid in tables[kind]:
+                    raise IngestError(f"{path}:{lineno}: {kind} {nid!r} is repeated")
+                tables[kind][nid] = vec
         except UnicodeDecodeError as e:
             raise IngestError(f"{path}: not UTF-8 text: {e}") from e
-    return customers, txns
+    return tables["customer"], tables["transaction"]

@@ -241,8 +241,11 @@ def cmd_score(args) -> int:
 def cmd_evaluate(args) -> int:
     values, _ = _resolve(args, NO_OPTIONS)
     results = tr.read_results(_require(args.scores))
-    labels = {lab.txn_id: lab.anomaly
-              for lab in datagen.load_labels(_require(args.labels))}
+    labels: dict[str, bool] = {}
+    for lab in datagen.load_labels(_require(args.labels)):
+        if lab.txn_id in labels:
+            raise IngestError(f"{args.labels}: txn_id {lab.txn_id!r} is repeated")
+        labels[lab.txn_id] = lab.anomaly
     per_txn: dict[str, float] = {}
     for r in results:
         if r.cold_start or r.anomaly_score is None:

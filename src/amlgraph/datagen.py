@@ -20,6 +20,8 @@ from .errors import ConfigError
 from .graph import EXTERNAL, CustomerProfile, RawTransaction, read_records
 
 AGGREGATE_DIMS = 4   # appended to each profile from warm-up activity
+PROFILE_SEPARATION = 0.15   # spread of the community profile prototypes
+AMOUNT_SEPARATION = 0.08    # step in mean log-amount from one community to the next
 
 
 @dataclass
@@ -35,8 +37,6 @@ class SyntheticConfig:
     in_ring_rate: float = 0.9
     in_community_rate: float = 0.05
     activity_skew: float = 1.2
-    profile_separation: float = 0.15
-    amount_separation: float = 0.08
     time_span: float = 100.0
     warmup_fraction: float = 0.2
     seed: int = 0
@@ -121,10 +121,10 @@ def generate(config: SyntheticConfig
     by_community = [np.flatnonzero(community == c) for c in range(k)]
 
     d_profile = config.d_customer - AGGREGATE_DIMS
-    prototypes = rng.normal(0.0, config.profile_separation, size=(k, d_profile))
+    prototypes = rng.normal(0.0, PROFILE_SEPARATION, size=(k, d_profile))
     base_profiles = prototypes[community] + rng.normal(size=(n, d_profile))
 
-    mu_amount = 2.0 + config.amount_separation * np.arange(k)
+    mu_amount = 2.0 + AMOUNT_SEPARATION * np.arange(k)
     peak_hour = (3.0 * np.arange(k)) % 24.0
 
     # heavy-tailed per-customer activity; skew 0 degenerates to uniform

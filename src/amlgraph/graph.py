@@ -334,12 +334,13 @@ class Subgraph:
     ``levels_c[h]``/``levels_t[h]`` hold the global ids of the nodes known
     after h hops. Each level is a prefix of the next (level 0 is the sorted
     seeds, then each hop's newly reached nodes, sorted), so a node keeps
-    its row in every level. ``layers[i]`` maps each relation to (src, dst,
-    edge_txn): layer i reads level depth-i and writes level depth-i-1, src
-    and dst are rows of the source and destination type, and edge_txn is
-    the global transaction index (the edge id). Output row r of a layer is
-    its input row r. Layer i's arrays are a prefix of layer i-1's: the
-    edges found at hops 0..depth-i-1, in the order found.
+    its row in every level. ``layers[i]`` maps each relation to (src, dst):
+    layer i reads level depth-i and writes level depth-i-1, and src and dst
+    are rows of the source and destination type. A transaction has at most
+    one edge per relation, so its row names the edge: the edge's id is
+    ``levels_t[-1]`` at its transaction end. Output row r of a layer is its
+    input row r. Layer i's arrays are a prefix of layer i-1's: the edges
+    found at hops 0..depth-i-1, in the order found.
     """
     depth: int
     levels_c: tuple
@@ -523,7 +524,7 @@ def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
     row_c, row_t = _Rows(n_c), _Rows(n_t)
     front_c = row_c.grow(seeds_c)
     front_t = row_t.grow(seeds_t, np.arange(1, len(txn_of)) * n_t + txns)
-    # per relation, each hop's edges: (customer keys, txn keys, txn ids)
+    # per relation, each hop's edges: (customer keys, txn keys)
     found = {rel: [] for rel in RELATIONS}
 
     for _ in range(num_layers):
@@ -539,24 +540,22 @@ def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
                 nbrs, = _insert_sorted(counts.cumsum()[at], (nbrs, txn_of[part_c[at]]))
                 counts = counts + np.bincount(at, minlength=len(counts))
             nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed, RELATIONS.index(rel))
-            found[rel].append((front_c.repeat(counts),
-                               nbrs + (part_c * n_t).repeat(counts), nbrs))
+            found[rel].append((front_c.repeat(counts), nbrs + (part_c * n_t).repeat(counts)))
         graph = ids_t < g.n_transactions   # else a record's own transaction
         for rel, ends, owner in ((OUT_FWD, ends_out, owner_out), (IN_REV, ends_in, owner_in)):
             custs = owner[part_t]
             custs[graph] = ends[ids_t[graph]]
             keep = custs >= 0
-            found[rel].append((custs[keep] + part_t[keep] * n_c, front_t[keep],
-                               ids_t[keep]))
+            found[rel].append((custs[keep] + part_t[keep] * n_c, front_t[keep]))
         front_t = row_t.grow(found[OUT_REV][-1][1], found[IN_FWD][-1][1])
         front_c = row_c.grow(found[OUT_FWD][-1][0], found[IN_REV][-1][0])
 
-    edges = {}   # relation -> ((src, dst, edge_txn), edges up to each hop)
+    edges = {}   # relation -> ((src, dst), edges up to each hop)
     for rel, per_hop in found.items():
-        custs, keys_t, ids = (np.concatenate(keys) for keys in zip(*per_hop))
+        custs, keys_t = (np.concatenate(keys) for keys in zip(*per_hop))
         rows = (row_t[keys_t], row_c[custs])
-        src, dst = rows if _REL_ENDS[rel][0] == "t" else rows[::-1]
-        edges[rel] = ((src, dst, ids), np.cumsum([len(t) for _, _, t in per_hop]))
+        edges[rel] = (rows if _REL_ENDS[rel][0] == "t" else rows[::-1],
+                      np.cumsum([len(t) for _, t in per_hop]))
     parts, nodes = [], []
     for rows in (row_c, row_t):
         part, ids = (np.concatenate(a) for a in zip(*rows.blocks))
@@ -671,10 +670,10 @@ def chunk_parts(sub: Subgraph, parts, max_rows: int):
                           np.searchsorted(take[tau], [len(level) for level in levels])))
         edges = {}
         for rel, (src_tau, dst_tau) in _REL_ENDS.items():
-            src, dst, txn = (a[take[rel]] for a in sub.layers[0][rel])
+            src, dst = (a[take[rel]] for a in sub.layers[0][rel])
             # edges up to hop k are layer depth-1-k
-            hops = [len(sub.layers[sub.depth - 1 - k][rel][2]) for k in range(sub.depth)]
-            edges[rel] = ((new_row[src_tau][src], new_row[dst_tau][dst], txn),
+            hops = [len(sub.layers[sub.depth - 1 - k][rel][0]) for k in range(sub.depth)]
+            edges[rel] = ((new_row[src_tau][src], new_row[dst_tau][dst]),
                           np.searchsorted(take[rel], hops))
         yield lo, hi, _subgraph(sub.depth, *nodes, edges)
         lo = hi
@@ -837,15 +836,18 @@ def load_graph(path: str) -> BipartiteGraph:
                      for key in ("c_mean", "c_std", "t_mean", "t_std")}
         except (struct.error, ValueError) as e:
             raise IngestError(f"{path}: truncated or corrupt graph snapshot: {e}") from e
-    _check_snapshot(path, len(customer_ids), len(txn_ids), x_c, x_t, o_src,
-                    i_dst, timestamps, stats)
+    _check_snapshot(path, customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
+                    timestamps, stats)
     return BipartiteGraph(customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
                           timestamps, stats)
 
 
-def _check_snapshot(path, n_c, n_t, x_c, x_t, o_src, i_dst, timestamps, stats):
-    """Array shapes agree with the id lists, endpoints are in range, and
-    features, timestamps and statistics are finite with positive stds.
+def _check_snapshot(path, customer_ids, txn_ids, x_c, x_t, o_src, i_dst,
+                    timestamps, stats):
+    """Ids are unique and no customer is EXTERNAL (as `build_graph`
+    requires), array shapes agree with the id lists, endpoints are in
+    range, and features, timestamps and statistics are finite with
+    positive stds.
 
     Runs before the CSR build, so a corrupt endpoint can neither index out
     of bounds later nor size an allocation.
@@ -853,6 +855,12 @@ def _check_snapshot(path, n_c, n_t, x_c, x_t, o_src, i_dst, timestamps, stats):
     def bad(what):
         return IngestError(f"{path}: corrupt graph snapshot: {what}")
 
+    for kind, ids in (("customer", customer_ids), ("transaction", txn_ids)):
+        if len(set(ids)) < len(ids):
+            raise bad(f"a {kind} id is repeated")
+    if EXTERNAL in customer_ids:
+        raise bad(f"{EXTERNAL!r} is a customer id")
+    n_c, n_t = len(customer_ids), len(txn_ids)
     for name, x, n in (("x_c", x_c, n_c), ("x_t", x_t, n_t)):
         if x.ndim != 2 or x.shape[0] != n:
             raise bad(f"{name} has shape {x.shape}, expected {n} rows")

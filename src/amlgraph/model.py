@@ -151,7 +151,7 @@ def _gat_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
     h_self = matmul(prefix_rows(z_self, n_out), p[f"w_self_{dest}"])
     agg = None
     for rel in DEST_RELATIONS[dest]:
-        src, dst, _ = edges[rel]
+        src, dst = edges[rel]
         contrib, edge_alpha, self_alpha = gat_aggregate(
             matmul(z_src, p[f"w_{rel}"]), h_self, p[f"a_src_{rel}"],
             p[f"a_dst_{rel}"], src, dst, params.heads)
@@ -163,7 +163,7 @@ def _gat_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
 def _sage_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
     out = matmul(prefix_rows(z_self, n_out), p[f"w_self_{dest}"])
     for rel in DEST_RELATIONS[dest]:
-        src, dst, _ = edges[rel]
+        src, dst = edges[rel]
         total = segment_sum(gather_rows(z_src, src), dst, n_out)
         counts = np.bincount(dst, minlength=n_out).astype(np.float64)
         inv = Tensor((1.0 / np.maximum(counts, 1.0))[:, None])
@@ -174,7 +174,7 @@ def _sage_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
 def _gin_dest(params, p, dest: str, edges, z_src, z_self, n_out, attention):
     pre = matmul(prefix_rows(z_self, n_out), p[f"w_proj_self_{dest}"])
     for rel in DEST_RELATIONS[dest]:
-        src, dst, _ = edges[rel]
+        src, dst = edges[rel]
         pre = add(pre, segment_sum(gather_rows(matmul(z_src, p[f"w_proj_{rel}"]), src),
                                    dst, n_out))
     hidden = relu(add(matmul(pre, p[f"mlp_w1_{dest}"]), p[f"mlp_b1_{dest}"]))

@@ -81,9 +81,6 @@ class Tape:
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
         self._records.append((output, inputs, backward))
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
 
@@ -366,19 +363,16 @@ def _scatter_add(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     must lie in [0, n): bincount rejects a negative id where ``add.at``
     would wrap it.
     """
-    if x.ndim == 1:
-        out = np.bincount(ids, x, n)
-    elif x.ndim == 2:
-        width = x.shape[1]
-        if np.bincount(ids, minlength=n).max(initial=0) <= 1:
-            out = np.zeros((n, width))   # one term per bin: bincount's 0.0 + term
-            out[ids] = 0.0 + x
-            return out
-        bins = ids[:, None] * width + _cols(width)
-        out = np.bincount(bins.ravel(), x.ravel(), n * width).reshape(n, width)
-    else:
+    if x.ndim != 2:   # rows of one flat width (1 for 1-D x)
         flat = _scatter_add(x.reshape(len(x), math.prod(x.shape[1:])), ids, n)
         return flat.reshape((n,) + x.shape[1:])
+    width = x.shape[1]
+    if np.bincount(ids, minlength=n).max(initial=0) <= 1:
+        out = np.zeros((n, width))   # one term per bin: bincount's 0.0 + term
+        out[ids] = 0.0 + x
+        return out
+    bins = ids[:, None] * width + _cols(width)
+    out = np.bincount(bins.ravel(), x.ravel(), n * width).reshape(n, width)
     # bincount of empty input is int64 even with float weights
     return out.astype(np.float64, copy=False)
 

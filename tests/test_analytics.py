@@ -87,61 +87,6 @@ class TestDivergence:
             an.divergence_report([{"c0": np.ones(2)}, {"c1": np.ones(2)}])
 
 
-class TestKMeans:
-    def blobs(self, n=60, seed=0):
-        rng = np.random.default_rng(seed)
-        x = np.vstack([rng.normal(loc=0.0, scale=0.3, size=(n // 2, 3)),
-                       rng.normal(loc=5.0, scale=0.3, size=(n // 2, 3))])
-        truth = np.repeat([0, 1], n // 2)
-        return x, truth
-
-    def test_separates_planted_blobs(self):
-        x, truth = self.blobs()
-        result = an.cluster_transactions(x, 2, seed=3)
-        agree = (result.labels == truth).mean()
-        assert agree in (0.0, 1.0)  # exact up to label swap
-
-    def test_single_cluster_is_mean(self):
-        x, _ = self.blobs(n=20)
-        result = an.cluster_transactions(x, 1, seed=0)
-        assert np.allclose(result.centers[0], x.mean(axis=0), atol=1e-12)
-        expected = ((x - x.mean(axis=0)) ** 2).sum()
-        assert abs(result.inertia - expected) < 1e-8
-
-    def test_k_equals_n_zero_inertia(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(7, 2))
-        result = an.cluster_transactions(x, 7, seed=1)
-        assert result.inertia < 1e-20
-        assert sorted(result.labels.tolist()) == list(range(7))
-
-    def test_inertia_non_increasing_in_iterations(self):
-        x, _ = self.blobs(n=40, seed=5)
-        inertias = [an.cluster_transactions(x, 3, seed=9, max_iter=m).inertia
-                    for m in range(1, 7)]
-        assert all(a >= b - 1e-9 for a, b in zip(inertias, inertias[1:]))
-
-    def test_deterministic(self):
-        x, _ = self.blobs()
-        a = an.cluster_transactions(x, 4, seed=11)
-        b = an.cluster_transactions(x, 4, seed=11)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centers, b.centers)
-
-    def test_bad_k_rejected(self):
-        x = np.zeros((3, 2))
-        with pytest.raises(ConfigError):
-            an.cluster_transactions(x, 0)
-        with pytest.raises(ConfigError):
-            an.cluster_transactions(x, 4)
-
-    def test_non_finite_rejected(self):
-        x = np.zeros((3, 2))
-        x[1, 1] = np.nan
-        with pytest.raises(NumericalError):
-            an.cluster_transactions(x, 2)
-
-
 def toy_graph():
     rng = np.random.default_rng(4)
     profiles = [gr.CustomerProfile(f"c{i}", rng.normal(size=3)) for i in range(6)]
@@ -183,4 +128,13 @@ class TestEmbeddingExport:
         path = tmp_path / "junk.tsv"
         path.write_text("something\telse\n")
         with pytest.raises(IngestError):
+            an.read_embeddings(str(path))
+
+    @pytest.mark.parametrize("kind", ["customer", "transaction"])
+    def test_repeated_node_rejected(self, tmp_path, kind):
+        """A second row of one node is refused, not read over the first."""
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"node_type\tnode_id\tv0\tv1\n{kind}\tx\t1.0\t0.0\n"
+                        f"customer\ty\t1.0\t1.0\n{kind}\tx\t0.0\t1.0\n")
+        with pytest.raises(IngestError, match=f"emb.tsv:4: {kind} 'x' is repeated"):
             an.read_embeddings(str(path))

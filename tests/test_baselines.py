@@ -45,10 +45,10 @@ def edge_list_subgraph(g, num_layers):
     all_c = np.arange(g.n_customers, dtype=np.int64)
     all_t = np.arange(g.n_transactions, dtype=np.int64)
     out_t, in_t = g.edges(gr.OUTGOING), g.edges(gr.INCOMING)
-    rels = {gr.OUT_FWD: (g.o_src[out_t], out_t, out_t),
-            gr.OUT_REV: (out_t, g.o_src[out_t], out_t),
-            gr.IN_FWD: (in_t, g.i_dst[in_t], in_t),
-            gr.IN_REV: (g.i_dst[in_t], in_t, in_t)}
+    rels = {gr.OUT_FWD: (g.o_src[out_t], out_t),
+            gr.OUT_REV: (out_t, g.o_src[out_t]),
+            gr.IN_FWD: (in_t, g.i_dst[in_t]),
+            gr.IN_REV: (g.i_dst[in_t], in_t)}
     return gr.Subgraph(num_layers, (all_c,) * (num_layers + 1),
                        (all_t,) * (num_layers + 1), (rels,) * num_layers)
 
@@ -64,13 +64,12 @@ class TestFullSubgraph:
         levels = {"c": sub.levels_c, "t": sub.levels_t}
         for h, layer in enumerate(sub.layers):
             for rel, (src_tau, dst_tau, ends) in expect.items():
-                src, dst, etxn = layer[rel]
+                src, dst = layer[rel]
                 src_ids = levels[src_tau][sub.depth - h][src]
                 dst_ids = levels[dst_tau][sub.depth - h - 1][dst]
                 cust, txn = (src_ids, dst_ids) if src_tau == "c" else (dst_ids, src_ids)
-                np.testing.assert_array_equal(txn, etxn)
                 real = np.flatnonzero(ends >= 0)
-                assert sorted(zip(etxn.tolist(), cust.tolist())) == \
+                assert sorted(zip(txn.tolist(), cust.tolist())) == \
                     list(zip(real.tolist(), ends[real].tolist()))
 
     def test_encode_matches_exhaustive_sampling(self):

@@ -174,6 +174,25 @@ class TestHandScores:
         assert run("evaluate", "--scores", str(scores), "--labels",
                    str(labels), "--out", str(tmp_path / "r.json")) == 2
 
+    def test_repeated_label_is_2(self, tmp_path, capsys):
+        """A second label of one transaction is refused, not read over the first."""
+        scores = tmp_path / "scores.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        scores.write_text("".join(json.dumps({
+            "txn_id": tid, "direction": gr.OUTGOING, "customer_id": "c0",
+            "y_hat": 1.0 - s, "anomaly_score": s, "cold_start": False}) + "\n"
+            for tid, s in (("t0", 0.2), ("t1", 0.7))))
+        labels.write_text("".join(json.dumps({
+            "txn_id": tid, "anomaly": flag, "src_community": 0,
+            "dst_community": 1}) + "\n"
+            for tid, flag in (("t0", False), ("t1", True), ("t1", False))))
+        out = tmp_path / "r.json"
+        assert run("evaluate", "--scores", str(scores), "--labels", str(labels),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(labels) in err and "'t1'" in err
+
 
 class TestColdStart:
     def test_unknown_customer_scores_cleanly(self, pipeline, tmp_path):
@@ -402,6 +421,42 @@ class TestExitCodes:
                    *flags) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_repeated_embedding_row_is_2(self, tmp_path, capsys):
+        """c1's first row [1, 0] against [0, 1] is orthogonal; reading the
+        second row over it would report similarity 1 and no divergence."""
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("node_type\tnode_id\tv0\tv1\n"
+                     "customer\tc1\t1.0\t0.0\ncustomer\tc1\t0.0\t1.0\n")
+        b.write_text("node_type\tnode_id\tv0\tv1\ncustomer\tc1\t0.0\t1.0\n")
+        out = tmp_path / "drift.jsonl"
+        assert run("diverge", "--embeddings", str(a), str(b), "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{a}:3:" in err
+
+    @pytest.mark.parametrize("ids", [
+        lambda g: (g.customer_ids[:1] * 2 + g.customer_ids[2:], g.txn_ids),
+        lambda g: (g.customer_ids, g.txn_ids[:1] * 2 + g.txn_ids[2:]),
+        lambda g: ((gr.EXTERNAL,) + g.customer_ids[1:], g.txn_ids)],
+        ids=["customer-repeated", "transaction-repeated", "customer-external"])
+    def test_snapshot_ids_build_graph_refuses_are_2(self, pipeline, tmp_path,
+                                                    capsys, ids):
+        """A snapshot's ids obey build_graph's rules; a repeated customer
+        id would otherwise decode every record against its last row."""
+        g = gr.load_graph(pipeline["graph"])
+        customer_ids, txn_ids = ids(g)
+        graph = str(tmp_path / "graph.bin")
+        gr.save_graph(types.SimpleNamespace(**{
+            **vars(g), "customer_ids": customer_ids, "txn_ids": txn_ids}), graph)
+        out = tmp_path / "scores.jsonl"
+        assert run("score", "--graph", graph, "--model", pipeline["model"],
+                   "--transactions",
+                   os.path.join(pipeline["data"], "transactions_test.jsonl"),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and graph in err
 
     def test_embedding_without_coordinates_is_2(self, tmp_path, capsys):
         """A header of only node_type and node_id is malformed input, not a

@@ -68,6 +68,13 @@ def bfs_levels(g, seeds_c, seeds_t, hops, removed_out=None, removed_in=None):
     return levels
 
 
+def edge_txns(sub, i, rel):
+    """The transaction index of each edge of `rel` in layer i: a
+    transaction has at most one edge per relation, so its row names it."""
+    src, dst = sub.layers[i][rel]
+    return sub.levels_t[-1][src if rel in (gr.OUT_REV, gr.IN_FWD) else dst]
+
+
 def subgraphs_equal(a, b):
     if a.depth != b.depth:
         return False
@@ -354,8 +361,8 @@ class TestNeighborhood:
         pos = int(np.searchsorted(together.levels_c[0], 2))
         for rel in (gr.OUT_REV, gr.IN_FWD):
             own = together.layers[0][rel][1] == pos
-            np.testing.assert_array_equal(together.layers[0][rel][2][own],
-                                          alone.layers[0][rel][2])
+            np.testing.assert_array_equal(edge_txns(together, 0, rel)[own],
+                                          edge_txns(alone, 0, rel))
 
     def test_subset_of_true_neighborhood(self):
         rng = np.random.default_rng(10)
@@ -418,7 +425,7 @@ class TestNeighborhood:
                     np.testing.assert_array_equal(a, b[:len(a)])
 
     def test_localized_edges_consistent(self):
-        # every (src_local, dst_local, edge) triple decodes to a real edge
+        # every (src_local, dst_local) pair decodes to a real edge, named by its transaction
         rng = np.random.default_rng(15)
         txns, profiles = random_records(rng)
         g = gr.build_graph(txns, profiles)
@@ -427,8 +434,8 @@ class TestNeighborhood:
         for i, layer in enumerate(sub.layers):
             c_in, t_in = sub.levels_c[sub.depth - i], sub.levels_t[sub.depth - i]
             c_out, t_out = sub.levels_c[sub.depth - i - 1], sub.levels_t[sub.depth - i - 1]
-            for rel, (src, dst, etxn) in layer.items():
-                for s, d, e in zip(src, dst, etxn):
+            for rel, (src, dst) in layer.items():
+                for s, d, e in zip(src, dst, edge_txns(sub, i, rel)):
                     if rel == gr.OUT_FWD:
                         assert g.o_src[t_out[d]] == c_in[s] and t_out[d] == e
                     elif rel == gr.OUT_REV:
@@ -508,10 +515,10 @@ class TestSever:
         t0 = g.txn_index["t0"]
         cut = gr.sample_neighborhood_nodes(g, [0, 1], [t0], fanout=32, num_layers=2,
                                            seed=0, removed_out=self.mask(g, ["t0"]))
-        for layer in cut.layers:
-            assert t0 not in layer[gr.OUT_FWD][2]
-            assert t0 not in layer[gr.OUT_REV][2]
-        assert any(t0 in layer[gr.IN_FWD][2] for layer in cut.layers)
+        for i in range(cut.depth):
+            assert t0 not in edge_txns(cut, i, gr.OUT_FWD)
+            assert t0 not in edge_txns(cut, i, gr.OUT_REV)
+        assert any(t0 in edge_txns(cut, i, gr.IN_FWD) for i in range(cut.depth))
 
     def test_sever_missing_edge_noop(self):
         g = toy_graph()
@@ -528,8 +535,8 @@ class TestSever:
         cut = gr.sample_neighborhood_nodes(g, [0, 1, 2], [], fanout=32, num_layers=2,
                                            seed=0, removed_in=self.mask(g, ["t1"]))
         t1 = g.txn_index["t1"]
-        assert any(t1 in layer[gr.IN_FWD][2] for layer in sub.layers)
-        assert not any(t1 in layer[gr.IN_FWD][2] for layer in cut.layers)
+        assert any(t1 in edge_txns(sub, i, gr.IN_FWD) for i in range(sub.depth))
+        assert not any(t1 in edge_txns(cut, i, gr.IN_FWD) for i in range(cut.depth))
         for before, after in zip(sub.layers, cut.layers):
             for rel in (gr.OUT_FWD, gr.OUT_REV):
                 for u, v in zip(before[rel], after[rel]):
@@ -619,6 +626,12 @@ INCONSISTENT_SNAPSHOTS = {
     "c_std_inf": ("c_std", lambda g: _first(g.stats["c_std"], np.inf)),
     "c_std_zero": ("c_std", lambda g: _first(g.stats["c_std"], 0.0)),
     "t_std_negative": ("t_std", lambda g: _first(g.stats["t_std"], -1.0)),
+    # build_graph refuses these; a snapshot must not bring them back
+    "customer_id_repeated": ("customer_ids",
+                             lambda g: g.customer_ids[:1] * 2 + g.customer_ids[2:]),
+    "txn_id_repeated": ("txn_ids", lambda g: g.txn_ids[:-1] + g.txn_ids[-2:-1]),
+    "customer_id_external": ("customer_ids",
+                             lambda g: (gr.EXTERNAL,) + g.customer_ids[1:]),
 }
 
 

@@ -230,7 +230,7 @@ def reference_gat_dest(params, p, dest, edges, z_src, z_self, n_out, attention):
     h_self = nd.matmul(nd.prefix_rows(z_self, n_out), p[f"w_self_{dest}"]).data
     agg = None
     for rel in md.DEST_RELATIONS[dest]:
-        src, dst, _ = edges[rel]
+        src, dst = edges[rel]
         h_src = nd.matmul(z_src, p[f"w_{rel}"]).data
         contrib, edge_alpha, self_alpha = reference_gat_relation(
             h_src, h_self, p[f"a_src_{rel}"].data, p[f"a_dst_{rel}"].data, src, dst,
@@ -378,9 +378,9 @@ class TestLayerSemantics:
         shuffled_layers = []
         for layer in sub.layers:
             new = {}
-            for rel, (src, dst, etxn) in layer.items():
+            for rel, (src, dst) in layer.items():
                 perm = rng.permutation(len(src))
-                new[rel] = (src[perm], dst[perm], etxn[perm])
+                new[rel] = (src[perm], dst[perm])
             shuffled_layers.append(new)
         sub2 = gr.Subgraph(sub.depth, sub.levels_c, sub.levels_t,
                            tuple(shuffled_layers))

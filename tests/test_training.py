@@ -12,6 +12,7 @@ import amlgraph.training as tr
 from amlgraph.errors import ConfigError, IngestError, NumericalError
 from amlgraph.model import init_params
 from amlgraph.ndtensor import Tensor
+from test_graph import edge_txns
 
 
 def community_graph(n_customers=24, n_txns=120, seed=7, d_c=5, d_t=3):
@@ -141,9 +142,9 @@ class TestMessageGraph:
                                       neg_c, neg_t, 8, 0,
                                       training=False, dropout_p=0.0)
         severed = set(batch.tolist()) | set(neg_t.tolist())
-        for layer in sub.layers:
+        for i in range(sub.depth):
             for rel in (gr.OUT_FWD, gr.OUT_REV):
-                assert not severed & set(layer[rel][2].tolist())
+                assert not severed & set(edge_txns(sub, i, rel).tolist())
 
 
 class TestTrainStep:
