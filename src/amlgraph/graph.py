@@ -347,12 +347,6 @@ class Subgraph:
     levels_t: tuple
     layers: tuple
 
-    def seed_positions_c(self, customers) -> np.ndarray:
-        return np.searchsorted(self.levels_c[0], np.asarray(customers, dtype=np.int64))
-
-    def seed_positions_t(self, txns) -> np.ndarray:
-        return np.searchsorted(self.levels_t[0], np.asarray(txns, dtype=np.int64))
-
 
 def _flat_neighbors(indptr, indices, frontier):
     """All CSR rows of `frontier`, flattened, plus per-row counts."""
@@ -401,12 +395,9 @@ def _cap(owners_frontier, nbrs, counts, fanout, seed, relation):
     return nbrs[keep], np.minimum(counts, fanout)
 
 
-def _filter_removed(nbrs, counts, removed):
-    """Drop the edges to `removed` transactions."""
-    if removed is None:
-        return nbrs, counts
-    keep = ~removed[nbrs]
-    if keep.all():
+def _keep_edges(nbrs, counts, keep):
+    """The flattened rows' (nbrs, counts) where `keep` holds (None: all)."""
+    if keep is None or keep.all():
         return nbrs, counts
     owner_pos = np.arange(len(counts)).repeat(counts)
     new_counts = np.bincount(owner_pos[keep], minlength=len(counts))
@@ -505,43 +496,52 @@ def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
 
     Part 0 is the graph as it stands, less the `removed_*` edges, seeded
     with seeds_c and seeds_t; its keys are the node ids. Part p >= 1 is a
-    scored record, records = (txns, owner_out, owner_in): seeded with
-    txns[p-1] alone, a transaction past the graph's whose edge of each
-    direction joins customer owner_*[p-1] (-1 for none) and ends that
-    customer's row. Each hop appends the keys it reaches first, sorted, so
-    within a hop's block nodes go by (part, id). Returns the Subgraph and
-    the part of each customer and transaction row.
+    record, records = (txns, customers, owner_out, owner_in), seeded with
+    txns[p-1] and customers[p-1] (-1 for none): a transaction past the
+    graph's gains an edge to each owner_*[p-1] (-1 for none), at the end of
+    that owner's row; one of the graph loses its edges whose owner is -1.
+    Each hop appends the keys it reaches first, sorted, so within a hop's
+    block nodes go by (part, id). Returns the Subgraph and the part of each
+    customer and transaction row.
     """
     _check_sampling(fanout, num_layers, seed)
-    txns, owner_out, owner_in = records or (np.empty(0, dtype=np.int64),) * 3
+    txns, customers, owner_out, owner_in = records or (np.empty(0, dtype=np.int64),) * 4
     n_c, n_t = g.n_customers, max(g.n_transactions, int(txns.max(initial=-1)) + 1)
-    # per part: its record's transaction and counterpart owners (none for part 0)
+    # per part: its record's transaction and owners (none for part 0)
     txn_of, owner_out, owner_in = (np.concatenate([[-1], a])
                                    for a in (txns, owner_out, owner_in))
+    hides = (txns < g.n_transactions).any()
+    gains = [np.where(txn_of < g.n_transactions, -1, owner) if hides else owner
+             for owner in (owner_out, owner_in)]
     # each transaction's customer per direction, the removed edges gone
     ends_out, ends_in = (ends if removed is None else np.where(removed, -1, ends)
                          for ends, removed in ((g.o_src, removed_out), (g.i_dst, removed_in)))
     row_c, row_t = _Rows(n_c), _Rows(n_t)
-    front_c = row_c.grow(seeds_c)
-    front_t = row_t.grow(seeds_t, np.arange(1, len(txn_of)) * n_t + txns)
+    parts = np.arange(1, len(txn_of))
+    front_c = (row_c.grow(seeds_c) if customers is None
+               else row_c.grow(seeds_c, (parts * n_c + customers)[customers >= 0]))
+    front_t = row_t.grow(seeds_t, parts * n_t + txns)
     # per relation, each hop's edges: (customer keys, txn keys)
     found = {rel: [] for rel in RELATIONS}
 
     for _ in range(num_layers):
         part_c, ids_c = row_c.blocks[-1]
         part_t, ids_t = row_t.blocks[-1]
-        for rel, indptr, indices, removed, owner in (
-                (OUT_REV, g.out_indptr, g.out_indices, removed_out, owner_out),
-                (IN_FWD, g.in_indptr, g.in_indices, removed_in, owner_in)):
+        for rel, indptr, indices, removed, owner, gain in (
+                (OUT_REV, g.out_indptr, g.out_indices, removed_out, owner_out, gains[0]),
+                (IN_FWD, g.in_indptr, g.in_indices, removed_in, owner_in, gains[1])):
             nbrs, counts = _flat_neighbors(indptr, indices, ids_c)
-            nbrs, counts = _filter_removed(nbrs, counts, removed)
-            at = np.flatnonzero(ids_c == owner[part_c])
+            nbrs, counts = _keep_edges(nbrs, counts, None if removed is None else ~removed[nbrs])
+            if hides:   # a record's hidden edge leaves its customer's row
+                hidden = np.where(owner[part_c] < 0, txn_of[part_c], -1).repeat(counts)
+                nbrs, counts = _keep_edges(nbrs, counts, nbrs != hidden)
+            at = np.flatnonzero(ids_c == gain[part_c])
             if len(at):   # a record's counterpart edge ends its owner's row
                 nbrs, = _insert_sorted(counts.cumsum()[at], (nbrs, txn_of[part_c[at]]))
                 counts = counts + np.bincount(at, minlength=len(counts))
             nbrs, counts = _cap(ids_c, nbrs, counts, fanout, seed, RELATIONS.index(rel))
             found[rel].append((front_c.repeat(counts), nbrs + (part_c * n_t).repeat(counts)))
-        graph = ids_t < g.n_transactions   # else a record's own transaction
+        graph = ids_t != txn_of[part_t]   # else a record's own transaction
         for rel, ends, owner in ((OUT_FWD, ends_out, owner_out), (IN_REV, ends_in, owner_in)):
             custs = owner[part_t]
             custs[graph] = ends[ids_t[graph]]
@@ -588,47 +588,53 @@ def sample_neighborhood_nodes(g: BipartiteGraph, seed_customers, seed_txns,
 
 
 def sample_records(g: BipartiteGraph, customers, txns, directions, counterparts,
-                   fanout: int, num_layers: int, seed
+                   fanout: int, num_layers: int, seed, seed_txns=(),
+                   record_customers=None
                    ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
-    """Sample the customers scored records decode against, and the
-    records, in one pass, as one block-diagonal union of parts.
-
-    Part 0 is the graph `g` as it stands, seeded with `customers`: it has
-    the nodes, edges and edge order of
-    `sample_neighborhood_nodes(g, customers, [], ...)`. Part p >= 1 is `g`
-    plus one transaction, txns[p-1] (an index from g.n_transactions on:
-    n_transactions + k for the k-th row of a `resolve_transactions`
-    block), and seeded with it. The record predicts its edge in
-    directions[p-1], so the part holds only its other edge, to customer
-    counterparts[p-1] (-1 for none), at the end of that customer's row. So
-    part p has the nodes, edges and edge order of
-    `sample_neighborhood_nodes(g2, [], [txns[p-1]], ...)` on `g` rebuilt
-    with that one transaction and edge: `_cap` hashes node ids, not part
-    keys.
+    """Sample the graph as it stands and scored records in one pass, as
+    one block-diagonal union of parts, each `g` with at most one edge
+    added or removed. Part 0 is `g`, seeded with `customers` and `seed_txns`, with the nodes,
+    edges and edge order of `sample_neighborhood_nodes` so seeded. Part p
+    >= 1 is `g` with transaction txns[p-1] holding only its edge opposite
+    directions[p-1], to customer counterparts[p-1] (-1 for none), seeded
+    with txns[p-1] and record_customers[p-1] (-1, the default, for none).
+    A transaction from g.n_transactions on is new (n_transactions + k for
+    row k of a `resolve_transactions` block): its edge ends that customer's
+    row. One of `g` loses its edge in directions[p-1], and its counterpart
+    must be its other end in `g`. So part p has the nodes, edges and edge
+    order of the record's seeds sampled on `g` rebuilt with that
+    transaction's edges so: `_cap` hashes node ids, not part keys.
 
     The union is hop-major: the parts' seeds, then each hop's newly reached
     nodes, sorted by (part, node) within the hop, so its levels are
-    prefixes as in any sample, and level 0 holds the sorted customers, then
-    txns in record order. No edge joins two parts. Returns (union, (part_c,
-    part_t)): the part of each customer and transaction row.
+    prefixes as in any sample, and level 0 holds part 0's sorted seeds,
+    then each record's in record order. No edge joins two parts. Returns
+    (union, (part_c, part_t)), the part of each customer and transaction row.
     """
     customers = _seed_ids(customers, g.n_customers, "seed customer")
-    txns = np.asarray(txns, dtype=np.int64).ravel()
+    seed_txns = _seed_ids(seed_txns, g.n_transactions, "seed transaction")
+    txns = _seed_ids(txns, np.iinfo(np.int64).max, "record transaction")
     counterparts = np.asarray(counterparts, dtype=np.int64).ravel()
-    if not len(txns) == len(directions) == len(counterparts):
-        raise ConfigError(f"{len(txns)} record transactions, {len(directions)} "
-                          f"directions and {len(counterparts)} counterparts")
+    if record_customers is not None:
+        record_customers = _seed_ids(np.add(record_customers, 1), g.n_customers + 1,
+                                     "record customer") - 1
+    if not len(txns) == len(directions) == len(counterparts) == len(
+            txns if record_customers is None else record_customers):
+        raise ConfigError("record transactions, directions, counterparts and customers "
+                          "differ in length")
     for direction in set(directions):
         check_direction(direction)
-    if len(txns) and txns.min() < g.n_transactions:
-        raise ConfigError("record transaction index inside the reference graph")
     _seed_ids(counterparts + 1, g.n_customers + 1, "counterpart customer")
     # the counterpart edge is the direction not predicted
     predicts_out = np.array([d == OUTGOING for d in directions], dtype=bool)
+    known = txns < g.n_transactions
+    if known.any() and np.any(counterparts[known] != np.where(
+            predicts_out[known], g.i_dst[txns[known]], g.o_src[txns[known]])):
+        raise ConfigError("record counterpart is not its transaction's other end in the graph")
     owners = (np.where(predicts_out, -1, counterparts),
               np.where(predicts_out, counterparts, -1))
-    return _sample(g, customers, np.empty(0, dtype=np.int64), fanout, num_layers,
-                   seed, records=(txns, *owners))
+    return _sample(g, customers, seed_txns, fanout, num_layers, seed,
+                   records=(txns, record_customers, *owners))
 
 
 def chunk_parts(sub: Subgraph, parts, max_rows: int):

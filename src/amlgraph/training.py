@@ -6,19 +6,13 @@ of that, every step severs the predicted direction's real edges for all
 transactions in the batch (negatives included), so a prediction can
 never peek at the edge it is asked to make.
 
-Scoring leaves the reference graph as it is. Each record sees it plus
-its own transaction and that transaction's counterpart (non-predicted)
-edge: the transaction embedding is computed through that sampled
-neighborhood and decoded against the predicted customer's embedding over
-the graph as it stands. New transactions pass `build_graph`'s record
-check. A block of records is sampled in one call, as the block-diagonal
-union of their samples, with the customers they decode against as part 0
-(the graph as it stands), and encoded in chunks of whole parts; each
-result is bit-identical to sampling and encoding it alone.
-
-A node's neighbor sample is a pure function of (seed, node, relation,
-surviving edges) (`graph.sample_neighborhood_nodes`). Each `train_step`
-draws one sampler seed from its rng; every inference path samples at
+Scoring, validation and evaluation share one path (`_score_rows`), on
+which a (customer, transaction, direction) row hides only its own edge:
+a new transaction is attached by its counterpart edge only, and a
+transaction of the graph loses only its edge in the row's direction.
+The reference graph is never changed. A node's neighbor sample is a pure
+function of (seed, node, relation, surviving edges); each `train_step`
+draws one sampler seed from its rng, every other path samples at
 `config.seed`, so no result depends on what else shares the call.
 """
 
@@ -46,9 +40,11 @@ ADAM_EPS = 1e-8
 # sampled input rows of one scoring encode: about 150 records at 2 layers,
 # which amortizes per-op overhead, and about 1 MB per array at any depth.
 # Also the most records sampled in one call, as each has at least one row;
-# the first call also samples part 0, the customers decoded against.
+# the first call also samples part 0, the graph as it stands.
 _SCORE_CHUNK_ROWS = 1 << 12
-_PAIR_CHUNK = 2048   # pairs `validation_loss`/`predict_pairs` encode at once
+# part 0's customer and transaction seeds per sampler call, at most each:
+# part 0 cannot be cut into chunks, and its rows set an encode's peak memory
+_PART0_SEEDS = 1 << 10
 
 
 @dataclass
@@ -183,30 +179,6 @@ def message_graph(g: BipartiteGraph, split: EdgeSplit) -> BipartiteGraph:
         g.timestamps, g.stats)
 
 
-def _forward_pairs(params: ModelParams, msg_g: BipartiteGraph, direction: str,
-                   pos_c, pos_t, neg_c, neg_t, fanout: int, sample_seed: int,
-                   training: bool, dropout_p: float, dropout_rng=None):
-    """Sever, sample, encode, decode one batch of positives and negatives."""
-    all_c = np.concatenate([pos_c, neg_c])
-    all_t = np.concatenate([pos_t, neg_t])
-    removed = np.zeros(msg_g.n_transactions, dtype=bool)
-    removed[all_t] = True
-    removed_out, removed_in = ((removed, None) if direction == OUTGOING
-                               else (None, removed))
-    sub = sample_neighborhood(msg_g, np.stack([all_c, all_t], axis=1),
-                              fanout, params.num_layers, sample_seed,
-                              removed_out=removed_out, removed_in=removed_in)
-    z_c, z_t = encode(params, sub, msg_g.x_c, msg_g.x_t, training=training,
-                      rng=dropout_rng, dropout_p=dropout_p)
-    pc = gather_rows(z_c, sub.seed_positions_c(pos_c))
-    pt = gather_rows(z_t, sub.seed_positions_t(pos_t))
-    nc = gather_rows(z_c, sub.seed_positions_c(neg_c))
-    nt = gather_rows(z_t, sub.seed_positions_t(neg_t))
-    y_pos = decode(params.w_dec, pc, pt)
-    y_neg = decode(params.w_dec, nc, nt)
-    return y_pos, y_neg, sub
-
-
 def train_step(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
                split: EdgeSplit, config: TrainingConfig, direction: str,
                adam: AdamState, rng, batch: np.ndarray | None = None) -> float:
@@ -225,12 +197,20 @@ def train_step(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
     neg_c, neg_t = sample_negatives(g, pos_t.size * config.negatives,
                                     direction, rng)
     sample_seed = int(rng.integers(2 ** 63))
+    removed = np.zeros(msg_g.n_transactions, dtype=bool)
+    removed[pos_t] = removed[neg_t] = True
+    sub = sample_neighborhood(
+        msg_g, np.stack([np.concatenate([pos_c, neg_c]),
+                         np.concatenate([pos_t, neg_t])], axis=1),
+        config.fanout, params.num_layers, sample_seed,
+        **{"removed_out" if direction == OUTGOING else "removed_in": removed})
 
     def loss_fn():
-        y_pos, y_neg, _ = _forward_pairs(
-            params, msg_g, direction, pos_c, pos_t, neg_c, neg_t,
-            config.fanout, sample_seed, training=True, dropout_p=config.dropout,
-            dropout_rng=rng)
+        z_c, z_t = encode(params, sub, msg_g.x_c, msg_g.x_t, training=True,
+                          rng=rng, dropout_p=config.dropout)
+        c_at, t_at = sub.levels_c[0].searchsorted, sub.levels_t[0].searchsorted
+        y_pos = decode(params.w_dec, gather_rows(z_c, c_at(pos_c)), gather_rows(z_t, t_at(pos_t)))
+        y_neg = decode(params.w_dec, gather_rows(z_c, c_at(neg_c)), gather_rows(z_t, t_at(neg_t)))
         return link_loss(y_pos, reshape(y_neg, (pos_t.size, config.negatives)))
 
     return descend(params.parameters(), adam, config.learning_rate, loss_fn)
@@ -248,24 +228,22 @@ def _validation_negatives(g, split, config):
 def validation_loss(params: ModelParams, g: BipartiteGraph,
                     msg_g: BipartiteGraph, split: EdgeSplit,
                     config: TrainingConfig, val_negs: dict) -> float:
-    """Deterministic held-out loss, sampled at `config.seed`."""
-    total, count = 0.0, 0
+    """Deterministic held-out loss: each direction's `link_loss` over its
+    validation edges and `val_negs` (`predict_pairs` on the message graph),
+    weighted by the edge count."""
+    rows, sizes = [], []
     for d in DIRECTIONS:
-        val = split.validation[d]
-        if val.size == 0:
-            continue
-        pos_c_all = g.edge_endpoints(d)[val]
-        neg_c_all, neg_t_all = val_negs[d]
-        for lo in range(0, val.size, _PAIR_CHUNK):
-            hi = min(lo + _PAIR_CHUNK, val.size)
-            nlo, nhi = lo * config.negatives, hi * config.negatives
-            y_pos, y_neg, _ = _forward_pairs(
-                params, msg_g, d, pos_c_all[lo:hi], val[lo:hi],
-                neg_c_all[nlo:nhi], neg_t_all[nlo:nhi],
-                config.fanout, config.seed, training=False, dropout_p=0.0)
-            loss = link_loss(y_pos, reshape(y_neg, (hi - lo, config.negatives)))
-            total += float(loss.data) * (hi - lo)
-            count += hi - lo
+        val, (neg_c, neg_t) = split.validation[d], val_negs[d]
+        for cs, ts in ((g.edge_endpoints(d)[val], val), (neg_c, neg_t)):
+            rows += [(d, c, t) for c, t in zip(cs.tolist(), ts.tolist())]
+        sizes.append((val.size, neg_t.size))
+    y = predict_pairs(params, msg_g, rows, config)
+    total, count, at = 0.0, 0, 0
+    for n_pos, n_neg in sizes:
+        y_pos, y_neg, at = y[at:at + n_pos], y[at + n_pos:at + n_pos + n_neg], at + n_pos + n_neg
+        if n_pos:
+            loss = link_loss(Tensor(y_pos[:, None]), Tensor(y_neg.reshape(n_pos, -1)))
+            total, count = total + float(loss.data) * n_pos, count + n_pos
     if count == 0:
         raise ConfigError("no validation edges in either direction")
     return total / count
@@ -342,21 +320,16 @@ def build_eval_examples(g: BipartiteGraph, split: EdgeSplit, negatives_seed: int
 def predict_pairs(params: ModelParams, msg_g: BipartiteGraph,
                   rows: list[tuple[str, int, int, int]], config: TrainingConfig
                   ) -> np.ndarray:
-    """Link likelihood for (direction, customer, txn) rows, batch-severed."""
-    out = np.zeros(len(rows))
-    order = np.arange(len(rows))
-    no_negatives = np.empty(0, dtype=np.int64)
-    for d in DIRECTIONS:
-        sel = order[[r[0] == d for r in rows]]
-        for lo in range(0, sel.size, _PAIR_CHUNK):
-            part = sel[lo:lo + _PAIR_CHUNK]
-            cs = np.array([rows[i][1] for i in part], dtype=np.int64)
-            ts = np.array([rows[i][2] for i in part], dtype=np.int64)
-            y, _, _ = _forward_pairs(params, msg_g, d, cs, ts, no_negatives,
-                                     no_negatives, config.fanout, config.seed,
-                                     training=False, dropout_p=0.0)
-            out[part] = y.data[:, 0]
-    return out
+    """Link likelihood for (direction, customer, txn) rows of `msg_g`,
+    each hiding only its own edge (`_score_rows`)."""
+    directions = [r[0] for r in rows]
+    txns = np.array([r[2] for r in rows], dtype=np.int64)
+    if len(txns) and not 0 <= txns.min() <= txns.max() < msg_g.n_transactions:
+        raise ConfigError("transaction index out of range")
+    counterparts = np.where([d == OUTGOING for d in directions],
+                            msg_g.i_dst[txns], msg_g.o_src[txns])
+    return _score_rows(params, msg_g, np.array([r[1] for r in rows], dtype=np.int64),
+                       txns, directions, counterparts, config)
 
 
 def evaluate_split(params: ModelParams, g: BipartiteGraph, split: EdgeSplit,
@@ -385,69 +358,89 @@ class AnomalyResult:
     cold_start: bool
 
 
+def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
+                directions, counterparts, config: TrainingConfig,
+                x_new: np.ndarray | None = None) -> np.ndarray:
+    """Link likelihood of each row (customer, transaction, direction).
+
+    A row hides only its own edge: its transaction reads `g` holding only
+    its counterpart edge (to counterparts[i], -1 for none), and its
+    customer reads `g` less that transaction's edge in the row's direction.
+    Transaction g.n_transactions + k is new, with features x_new[k]. A row
+    whose transaction is new, or has that edge in `g`, is its own
+    `sample_records` part (its customer too, unless the transaction is
+    new); all else reads part 0, `g` as it stands. Each chunk of whole
+    parts is encoded once; products are row-exact, so each row's score is
+    bit-identical to scoring it alone, in any batch or order.
+    """
+    for d in set(directions):
+        check_direction(d)
+    known = txns < g.n_transactions
+    hides = known.copy()
+    if known.any():
+        t, outgoing = txns[known], np.array([d == OUTGOING for d in directions])[known]
+        hides[known] = np.where(outgoing, g.o_src[t], g.i_dst[t]) >= 0
+    own = hides | ~known   # rows sampled as their own part
+    seeds_c = np.unique(customers[~hides])
+    seeds_t = txns[:0] if own.all() else np.unique(txns[~own])
+    z_c, z_t = np.empty((2, len(txns), params.w_dec.shape[0]))
+    z0_c, z0_t = np.empty((len(seeds_c), z_c.shape[1])), np.empty((len(seeds_t), z_c.shape[1]))
+    parted = np.flatnonzero(own)
+    calls = max(-(-len(parted) // _SCORE_CHUNK_ROWS),
+                -(-max(len(seeds_c), len(seeds_t)) // _PART0_SEEDS), 1)
+    for k in range(calls):
+        block = parted[k * _SCORE_CHUNK_ROWS:(k + 1) * _SCORE_CHUNK_ROWS]
+        cut = slice(k * _PART0_SEEDS, (k + 1) * _PART0_SEEDS)
+        union, parts = sample_records(
+            g, seeds_c[cut], txns[block], [directions[i] for i in block],
+            counterparts[block], config.fanout, params.num_layers, config.seed,
+            seed_txns=seeds_t[cut],
+            record_customers=np.where(hides[block], customers[block], -1)
+            if hides.any() else None)
+        for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
+            zc, zt = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
+            zc, zt = zc.data, zt.data
+            if a == 0:   # part 0's seeds lead level 0
+                n_c, n_t = len(seeds_c[cut]), len(seeds_t[cut])
+                z0_c[cut], zc = zc[:n_c], zc[n_c:]
+                z0_t[cut], zt = zt[:n_t], zt[n_t:]
+            # part p is block[p - 1], its seeds the chunk's next level-0 rows
+            rows = block[max(a, 1) - 1:b - 1]
+            z_t[rows] = zt
+            z_c[rows[hides[rows]]] = zc
+    z_c[~hides] = z0_c[seeds_c.searchsorted(customers[~hides])]
+    if len(seeds_t):
+        z_t[~own] = z0_t[seeds_t.searchsorted(txns[~own])]
+    return decode(params.w_dec, Tensor(z_c), Tensor(z_t)).data[:, 0]
+
+
 def score_transactions(params: ModelParams, g: BipartiteGraph,
                        new_transactions: list[RawTransaction],
                        config: TrainingConfig) -> list[AnomalyResult]:
     """Anomaly-score each direction of each new transaction.
 
-    Transactions are scored independently: a record sees the reference
-    graph `g` plus its transaction, attached by its counterpart
-    (non-predicted) edge only, so other new transactions stay invisible;
-    the customer side of the decoder comes from `g` as it stands, and `g`
-    is not changed. A transaction `build_graph` would refuse, or whose id
-    is in `g` or repeated, raises IngestError (`resolve_transactions`).
-    Every sample is drawn at `config.seed` and is a function of the node
-    and its surviving edges alone. Up to `_SCORE_CHUNK_ROWS` records are
-    sampled in one `sample_records` call, each record its own part of a
-    block-diagonal union; the first call's part 0 is every customer decoded
-    against. Each chunk of whole parts (`chunk_parts`) is encoded once; the
-    encoder's products are row-exact, so each record's result is
-    bit-identical to scoring its transaction alone, in any batch or order.
-    A non-finite score raises NumericalError.
+    Each record is scored alone (`_score_rows`): it sees the reference
+    graph `g`, unchanged, plus its transaction attached by its counterpart
+    (non-predicted) edge only. A transaction `build_graph` would refuse,
+    or whose id is in `g` or repeated, raises IngestError
+    (`resolve_transactions`). A non-finite score raises NumericalError.
     """
-    if not new_transactions:
-        return []
     x_new, ends, cold = resolve_transactions(g, new_transactions)
-    # (transaction row, direction, side: 0 source or 1 dest, customer id);
-    # an EXTERNAL side has no edge to predict
-    records = [(k, direction, side, cust_id)
-               for k, t in enumerate(new_transactions)
-               for side, direction, cust_id in ((0, OUTGOING, t.source_customer),
-                                                (1, INCOMING, t.dest_customer))
-               if ends[k, side] >= 0 or cold[k, side]]
-    y_hat = np.full(len(records), np.nan)
-    warm = [j for j, (k, _, side, _) in enumerate(records) if not cold[k, side]]
-    # the customers decoded against, and each record's row among them
-    needed = np.unique(ends[ends >= 0])
-    cust_row = np.searchsorted(needed, [ends[k, side] for k, _, side, _ in records])
-    # every record has an input row, so a block fills at least one chunk
-    for lo in range(0, len(warm), _SCORE_CHUNK_ROWS):
-        block = [records[j] for j in warm[lo:lo + _SCORE_CHUNK_ROWS]]
-        union, parts = sample_records(
-            g, needed if lo == 0 else [], [g.n_transactions + k for k, _, _, _ in block],
-            [direction for _, direction, _, _ in block],
-            [ends[k, 1 - side] for k, _, side, _ in block], config.fanout,
-            params.num_layers, config.seed)
-        for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
-            z_c, z_t = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
-            if lo == a == 0:   # part 0: `needed` over the graph as it stands
-                z_ref = z_c.data
-            # part p is block[p - 1], and its transaction the chunk's next level-0 one
-            at = warm[lo + max(a, 1) - 1:lo + b - 1]
-            y_hat[at] = decode(params.w_dec, Tensor(z_ref[cust_row[at]]), z_t).data[:, 0]
+    # each record's transaction row and side (0 source, 1 dest), transaction
+    # by transaction; an EXTERNAL side has no edge to predict
+    k, side = np.nonzero((ends >= 0) | cold)
+    warm = ~cold[k, side]
+    y_hat = np.full(len(k), np.nan)
+    y_hat[warm] = _score_rows(params, g, ends[k, side][warm], g.n_transactions + k[warm],
+                              [DIRECTIONS[s] for s in side[warm]], ends[k, 1 - side][warm],
+                              config, x_new)
     if not np.all(np.isfinite(y_hat[warm])):
         raise NumericalError("a score is not finite: the model, graph or "
                              "transactions hold values too large to encode")
-
-    results = []
-    for (k, direction, side, cust_id), y in zip(records, y_hat.tolist()):
-        txn_id = new_transactions[k].txn_id
-        if cold[k, side]:
-            results.append(AnomalyResult(txn_id, direction, cust_id, None, None, True))
-        else:
-            results.append(AnomalyResult(txn_id, direction, cust_id,
-                                         y, float(anomaly_score(y)), False))
-    return results
+    return [AnomalyResult(t.txn_id, DIRECTIONS[s], (t.source_customer, t.dest_customer)[s],
+                          y if w else None, float(anomaly_score(y)) if w else None, not w)
+            for t, s, y, w in zip([new_transactions[i] for i in k.tolist()], side.tolist(),
+                                  y_hat.tolist(), warm.tolist())]
 
 
 def write_results(path: str, results: list[AnomalyResult]) -> None:

@@ -6,8 +6,10 @@ whose own tests are outside this suite. This module reads the tracer and
 checks those names, then traces one sample and one encode.
 """
 
+import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 import numpy as np
@@ -66,3 +68,37 @@ def test_traced_sample_counts_edges(tracer_module):
     assert gr.sample_neighborhood_nodes is original
     assert tracer.counts["graph.sampled_edges"] > 0
     assert tracer.counts["model.encode.input_rows"] > 0
+
+
+# Counters the tracer computes itself, not a span of a function.
+COMPUTED = {"graph.sampled_nodes", "graph.sampled_edges", "graph.owners_expanded",
+            "graph.owners_truncated"}
+# `extend_graph` was replaced by `resolve_transactions`; its two metrics read
+# 0 and await the next change to the benchmark.
+AWAITING_BENCHMARK = {"graph.extend_graph.self_s", "graph.extend_graph.calls"}
+
+
+def test_metrics_name_public_functions(tracer_module):
+    """Every per-layer metric `<layer module>.<name>...` in BENCHMARK.json
+    names a public function of that module (`cli.<x>` is `cmd_<x>`)."""
+    with open(os.path.join(os.path.dirname(TRACER_PATH), os.pardir,
+                           "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = [m["name"] for m in json.load(fh)["per_layer"]]
+    checked, missing = 0, []
+    for metric in metrics:
+        layer, _, rest = metric.partition(".")
+        if layer not in tracer_module.LAYER_MODULES or metric in COMPUTED | AWAITING_BENCHMARK:
+            continue
+        name = rest.split(".")[0]
+        if "." not in rest:
+            name = name.removesuffix("_s")
+        if layer == "cli":
+            name = "cmd_" + name
+        module = importlib.import_module(f"amlgraph.{layer}")
+        fn = getattr(module, name, None)
+        if (name.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != module.__name__):
+            missing.append(metric)
+        checked += 1
+    assert missing == []
+    assert checked >= 20

@@ -548,11 +548,89 @@ class TestRecordSampler:
         for row, sub, g2 in zip(encoded, alone, rebuilt, strict=True):
             assert row.tobytes() == md.encode(params, sub, g2.x_c, g2.x_t)[1].data[0].tobytes()
 
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_graph_transaction_rows_equal_rebuilt_graph(self, data):
+        """A record of a transaction in the reference graph hides its edge
+        in the record's direction: its part has the nodes, edges, order and
+        encoded bits of the graph rebuilt with that side EXTERNAL."""
+        layers = data.draw(st.integers(1, 3), label="layers")
+        fanout = data.draw(st.integers(1, 3), label="fanout")
+        g = make_graph(seed=data.draw(st.integers(0, 99), label="graph"), n_c=6, n_t=40)
+        hub = int(np.argmax(np.diff(g.out_indptr) + np.diff(g.in_indptr)))
+        # transaction 0 a self-transfer of the hub, transaction 1 with both sides
+        o_src, i_dst = g.o_src.copy(), g.i_dst.copy()
+        o_src[0] = i_dst[0] = hub
+        o_src[1], i_dst[1] = max(o_src[1], 0), max(i_dst[1], 1)
+        g = gr.BipartiteGraph(g.customer_ids, g.txn_ids, g.x_c, g.x_t, o_src, i_dst,
+                              g.timestamps, g.stats)
+        assert np.diff(g.out_indptr).max() > fanout   # the cap truncates
+        params = md.init_params("gat", g.d_customer, g.d_transaction, layers, 8, 2, seed=3)
+        warm_bn(params, full_sub(g, layers), g)
+        edges = [(t, d) for d in gr.DIRECTIONS for t in g.edges(d).tolist()]
+        records = [(0, gr.OUTGOING), (0, gr.INCOMING), (1, gr.OUTGOING), (1, gr.INCOMING)]
+        records += data.draw(st.lists(st.sampled_from(edges), max_size=4), label="records")
+        records = data.draw(st.permutations(records), label="order")
+        # each record's customer: none, the hub, the end it loses, or any
+        ends = {d: g.edge_endpoints(d) for d in gr.DIRECTIONS}
+        custs = [data.draw(st.sampled_from([-1, hub, int(ends[d][t]), *range(g.n_customers)]),
+                           label="customer") for t, d in records]
+        seeds_c = data.draw(st.lists(st.integers(0, g.n_customers - 1), unique=True),
+                            label="part-0 customers")
+        seeds_t = data.draw(st.lists(st.integers(0, g.n_transactions - 1), unique=True),
+                            label="part-0 transactions")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        txns = [t for t, _ in records]
+        directions = [d for _, d in records]
+        other = {gr.OUTGOING: g.i_dst, gr.INCOMING: g.o_src}
+        counterparts = [int(other[d][t]) for t, d in records]
+
+        def rebuilt(t, d):
+            o, i = g.o_src.copy(), g.i_dst.copy()
+            (o if d == gr.OUTGOING else i)[t] = -1
+            return gr.BipartiteGraph(g.customer_ids, g.txn_ids, g.x_c, g.x_t, o, i,
+                                     g.timestamps, g.stats)
+
+        graphs = [g] + [rebuilt(t, d) for t, d in records]
+        alone = [gr.sample_neighborhood_nodes(g, seeds_c, seeds_t, fanout, layers, seed)]
+        alone += [gr.sample_neighborhood_nodes(g2, [c] if c >= 0 else [], [t], fanout,
+                                               layers, seed)
+                  for g2, (t, _), c in zip(graphs[1:], records, custs)]
+        union, parts = gr.sample_records(g, seeds_c, txns, directions, counterparts,
+                                         fanout, layers, seed, seed_txns=seeds_t,
+                                         record_customers=custs)
+        chunks = list(gr.chunk_parts(union, parts, 1))
+        if not seeds_c and not seeds_t:   # part 0 has no rows: it joins the next
+            alone = alone[1:]
+        for (_, _, chunk), sub in zip(chunks, alone, strict=True):
+            for got, want in ((chunk.levels_c, sub.levels_c), (chunk.levels_t, sub.levels_t)):
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            for got, want in zip(chunk.layers, sub.layers, strict=True):
+                assert {rel: [a.tolist() for a in arrays] for rel, arrays in got.items()} == \
+                       {rel: [a.tolist() for a in arrays] for rel, arrays in want.items()}
+        # encoded together, each part's seed rows have the bits they have alone
+        z_c, z_t = (z.data for z in md.encode(params, union, g.x_c, g.x_t))
+        at_c, at_t = len(seeds_c), len(seeds_t)
+        if seeds_c or seeds_t:
+            w_c, w_t = md.encode(params, alone[0], g.x_c, g.x_t)
+            assert z_c[:at_c].tobytes() == w_c.data.tobytes()
+            assert z_t[:at_t].tobytes() == w_t.data.tobytes()
+        for g2, sub, c in zip(graphs[1:], alone[-len(records):], custs):
+            w_c, w_t = md.encode(params, sub, g2.x_c, g2.x_t)
+            assert z_t[at_t].tobytes() == w_t.data[0].tobytes()
+            at_t += 1
+            if c >= 0:
+                assert z_c[at_c].tobytes() == w_c.data[0].tobytes()
+                at_c += 1
+        assert (at_c, at_t) == (len(z_c), len(z_t))
+
     def test_bad_records_rejected(self):
         g = make_graph(seed=28)
         n, out = g.n_transactions, gr.OUTGOING
+        t = int(np.flatnonzero(g.o_src >= 0)[0])
         for customers, txns, directions, counterparts in (
-                ([], [n - 1], [out], [0]),             # inside the reference graph
+                ([], [-1], [out], [0]),                # transaction index out of range
+                ([], [t], [out], [int(g.i_dst[t] != 0)]),  # not its other end in g
                 ([], [n], ["sideways"], [0]),
                 ([], [n, n], [out], [0, 0]),           # mismatched lengths
                 ([], [n, n + 1], [out, out], [0]),

@@ -129,19 +129,31 @@ class TestMessageGraph:
             assert np.array_equal(msg.edges(d), np.sort(split.message[d]))
         assert msg.x_c is g.x_c and msg.x_t is g.x_t
 
-    def test_severed_batch_absent_from_message_passing(self):
+    def test_severed_batch_absent_from_message_passing(self, monkeypatch):
         g, _ = community_graph()
         split = gr.split_edges(g, (0.5, 0.3, 0.2), seed=11)
         msg = tr.message_graph(g, split)
+        cfg = small_config(fanout=8)
         params = init_params("gat", g.d_customer, g.d_transaction, 2, 8, 2)
-        rng = np.random.default_rng(0)
         batch = split.supervision[gr.OUTGOING][:8]
-        pos_c = g.o_src[batch]
-        neg_c, neg_t = gr.sample_negatives(g, 8, gr.OUTGOING, rng)
-        _, _, sub = tr._forward_pairs(params, msg, gr.OUTGOING, pos_c, batch,
-                                      neg_c, neg_t, 8, 0,
-                                      training=False, dropout_p=0.0)
+        calls = []
+
+        def recording_sample(*args, **kwargs):
+            calls.append((args, kwargs, gr.sample_neighborhood(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(tr, "sample_neighborhood", recording_sample)
+        tr.train_step(params, g, msg, split, cfg, gr.OUTGOING,
+                      tr.AdamState(params.parameters()), np.random.default_rng(0),
+                      batch=batch)
+        (args, kwargs, sub), = calls
+        pairs = np.asarray(args[1])
+        assert pairs[:8, 1].tolist() == batch.tolist()
+        assert np.array_equal(pairs[:8, 0], g.o_src[batch])
+        neg_t = pairs[8:, 1]
         severed = set(batch.tolist()) | set(neg_t.tolist())
+        assert set(np.flatnonzero(kwargs["removed_out"]).tolist()) == severed
+        assert kwargs.get("removed_in") is None
         for i in range(sub.depth):
             for rel in (gr.OUT_FWD, gr.OUT_REV):
                 assert not severed & set(edge_txns(sub, i, rel).tolist())
@@ -336,6 +348,78 @@ class TestEvaluateSplit:
         for d, c, t, label in rows:
             real = int(g.edge_endpoints(d)[t])
             assert (real == c) == bool(label)
+
+
+def severed_forward(params, msg, row, cfg):
+    """One pair alone: (c, t) seeded, only t's edge in the row's direction
+    severed, then encoded and decoded."""
+    d, c, t = row[:3]
+    removed = np.zeros(msg.n_transactions, dtype=bool)
+    removed[t] = True
+    sub = gr.sample_neighborhood(
+        msg, [(c, t)], cfg.fanout, params.num_layers, cfg.seed,
+        **{"removed_out" if d == gr.OUTGOING else "removed_in": removed})
+    z_c, z_t = md.encode(params, sub, msg.x_c, msg.x_t)
+    return md.decode(params.w_dec, z_c, z_t).data[0, 0]
+
+
+class TestPredictPairs:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_scored_independently(self, data):
+        """Each evaluation row hides only its own edge: it has the bits it
+        has scored alone, in any order and beside any other rows, and the
+        bits of the one-pair severed forward."""
+        layers = data.draw(st.integers(1, 3), label="layers")
+        negatives = data.draw(st.sampled_from([1, 2]), label="negatives")
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="graph"))
+        n_c, n_t = 8, 60
+        profiles = [gr.CustomerProfile(f"c{i}", rng.normal(size=3)) for i in range(n_c)]
+
+        def side():   # customer 0 is a hub; about one side in seven is EXTERNAL
+            if rng.random() < 0.15:
+                return gr.EXTERNAL
+            return f"c{0 if rng.random() < 0.4 else rng.integers(n_c)}"
+
+        txns = []
+        for j in range(n_t):
+            src, dst = side(), side()
+            if src == dst == gr.EXTERNAL:
+                dst = "c1"
+            txns.append(gr.RawTransaction(f"t{j:03d}", src, dst, float(j),
+                                          rng.normal(size=2)))
+        g = gr.build_graph(txns, profiles)
+        split = gr.split_edges(g, (0.5, 0.3, 0.2), seed=1)
+        msg = tr.message_graph(g, split)
+        cfg = small_config(num_layers=layers, fanout=2, negatives=negatives,
+                           seed=data.draw(st.integers(0, 2 ** 63), label="seed"))
+        assert np.diff(msg.out_indptr).max() > cfg.fanout   # the cap truncates
+        params = init_params("gat", g.d_customer, g.d_transaction, layers, 8, 2, seed=2)
+        negs = tr._validation_negatives(g, split, cfg)
+        # validation edges and negatives, as `validation_loss` scores them,
+        # and message edges scored with their own edge hidden
+        rows = [(d, int(c), int(t), 1) for d in gr.DIRECTIONS
+                for c, t in zip(g.edge_endpoints(d)[split.validation[d]],
+                                split.validation[d])]
+        rows += [(d, int(c), int(t), 0) for d in gr.DIRECTIONS for c, t in zip(*negs[d])]
+        rows += [(d, int(msg.edge_endpoints(d)[t]), int(t), 1) for d in gr.DIRECTIONS
+                 for t in split.message[d][:4]]
+        alone = [tr.predict_pairs(params, msg, [row], cfg)[0] for row in rows]
+        subset = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1),
+                           label="subset")
+        for picked in (list(range(len(rows))), subset):
+            y = tr.predict_pairs(params, msg, [rows[i] for i in picked], cfg)
+            assert y.tobytes() == np.array([alone[i] for i in picked]).tobytes()
+        for row, y in zip(rows, alone):
+            assert y.tobytes() == severed_forward(params, msg, row, cfg).tobytes()
+
+    @pytest.mark.parametrize("bad", ["sideways", "OUTGOING"])
+    def test_unknown_direction_rejected(self, trained, bad):
+        g, params, cfg = trained
+        t = int(g.edges(gr.OUTGOING)[0])
+        rows = [(gr.OUTGOING, 0, t, 1), (bad, 0, t, 1)]
+        with pytest.raises(ConfigError, match="direction"):
+            tr.predict_pairs(params, g, rows, cfg)
 
 
 @pytest.fixture(scope="module")
