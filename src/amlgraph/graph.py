@@ -16,6 +16,7 @@ bitwise-identical graph.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -510,16 +511,16 @@ def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
     # per part: its record's transaction and owners (none for part 0)
     txn_of, owner_out, owner_in = (np.concatenate([[-1], a])
                                    for a in (txns, owner_out, owner_in))
-    hides = (txns < g.n_transactions).any()
-    gains = [np.where(txn_of < g.n_transactions, -1, owner) if hides else owner
-             for owner in (owner_out, owner_in)]
+    new = txn_of >= g.n_transactions
+    hides = not new[1:].all()   # else every record is new: none hides an edge of `g`
+    gains = ([np.where(new, owner, -1) for owner in (owner_out, owner_in)] if hides
+             else (owner_out, owner_in))
     # each transaction's customer per direction, the removed edges gone
     ends_out, ends_in = (ends if removed is None else np.where(removed, -1, ends)
                          for ends, removed in ((g.o_src, removed_out), (g.i_dst, removed_in)))
     row_c, row_t = _Rows(n_c), _Rows(n_t)
     parts = np.arange(1, len(txn_of))
-    front_c = (row_c.grow(seeds_c) if customers is None
-               else row_c.grow(seeds_c, (parts * n_c + customers)[customers >= 0]))
+    front_c = row_c.grow(seeds_c, (parts * n_c + customers)[customers >= 0])
     front_t = row_t.grow(seeds_t, parts * n_t + txns)
     # per relation, each hop's edges: (customer keys, txn keys)
     found = {rel: [] for rel in RELATIONS}
@@ -550,17 +551,19 @@ def _sample(g, seeds_c, seeds_t, fanout, num_layers, seed, removed_out=None,
         front_t = row_t.grow(found[OUT_REV][-1][1], found[IN_FWD][-1][1])
         front_c = row_c.grow(found[OUT_FWD][-1][0], found[IN_REV][-1][0])
 
-    edges = {}   # relation -> ((src, dst), edges up to each hop)
+    # every relation's edges as rows, in one lookup per node type
+    rows_c, rows_t = (row[np.concatenate(keys)] for row, keys in zip(
+        (row_c, row_t), zip(*(hop for per_hop in found.values() for hop in per_hop))))
+    edges, at = {}, 0   # relation -> ((src, dst), edges up to each hop)
     for rel, per_hop in found.items():
-        custs, keys_t = (np.concatenate(keys) for keys in zip(*per_hop))
-        rows = (row_t[keys_t], row_c[custs])
-        edges[rel] = (rows if _REL_ENDS[rel][0] == "t" else rows[::-1],
-                      np.cumsum([len(t) for _, t in per_hop]))
+        ends = list(itertools.accumulate(len(t) for _, t in per_hop))
+        rows = (rows_t[at:at + ends[-1]], rows_c[at:at + ends[-1]])
+        edges[rel], at = (rows if _REL_ENDS[rel][0] == "t" else rows[::-1], ends), at + ends[-1]
     parts, nodes = [], []
     for rows in (row_c, row_t):
         part, ids = (np.concatenate(a) for a in zip(*rows.blocks))
         parts.append(part)
-        nodes.append((ids, np.cumsum([len(ids) for _, ids in rows.blocks])))
+        nodes.append((ids, list(itertools.accumulate(len(ids) for _, ids in rows.blocks))))
     return _subgraph(num_layers, *nodes, edges), tuple(parts)
 
 
@@ -593,17 +596,17 @@ def sample_records(g: BipartiteGraph, customers, txns, directions, counterparts,
                    ) -> tuple[Subgraph, tuple[np.ndarray, np.ndarray]]:
     """Sample the graph as it stands and scored records in one pass, as
     one block-diagonal union of parts, each `g` with at most one edge
-    added or removed. Part 0 is `g`, seeded with `customers` and `seed_txns`, with the nodes,
-    edges and edge order of `sample_neighborhood_nodes` so seeded. Part p
-    >= 1 is `g` with transaction txns[p-1] holding only its edge opposite
-    directions[p-1], to customer counterparts[p-1] (-1 for none), seeded
-    with txns[p-1] and record_customers[p-1] (-1, the default, for none).
-    A transaction from g.n_transactions on is new (n_transactions + k for
-    row k of a `resolve_transactions` block): its edge ends that customer's
-    row. One of `g` loses its edge in directions[p-1], and its counterpart
-    must be its other end in `g`. So part p has the nodes, edges and edge
-    order of the record's seeds sampled on `g` rebuilt with that
-    transaction's edges so: `_cap` hashes node ids, not part keys.
+    added or removed. Part 0 is `g` seeded with `customers` and
+    `seed_txns`: the nodes, edges and edge order of
+    `sample_neighborhood_nodes` so seeded. Part p >= 1, seeded with
+    txns[p-1] and record_customers[p-1] (-1, the default, for none), is `g`
+    with that transaction holding only its edge opposite directions[p-1],
+    to customer counterparts[p-1] (-1 for none). A transaction from
+    g.n_transactions on is new (n_transactions + k for row k of a
+    `resolve_transactions` block), its edge at the end of that customer's
+    row; one of `g` loses its edge in directions[p-1], and its counterpart
+    must be its other end in `g`. So part p equals the record's seeds
+    sampled on `g` rebuilt that way: `_cap` hashes node ids, not part keys.
 
     The union is hop-major: the parts' seeds, then each hop's newly reached
     nodes, sorted by (part, node) within the hop, so its levels are
@@ -614,22 +617,21 @@ def sample_records(g: BipartiteGraph, customers, txns, directions, counterparts,
     customers = _seed_ids(customers, g.n_customers, "seed customer")
     seed_txns = _seed_ids(seed_txns, g.n_transactions, "seed transaction")
     txns = _seed_ids(txns, np.iinfo(np.int64).max, "record transaction")
-    counterparts = np.asarray(counterparts, dtype=np.int64).ravel()
-    if record_customers is not None:
-        record_customers = _seed_ids(np.add(record_customers, 1), g.n_customers + 1,
-                                     "record customer") - 1
-    if not len(txns) == len(directions) == len(counterparts) == len(
-            txns if record_customers is None else record_customers):
+    # each record's counterpart and customer, -1 for none
+    counterparts, record_customers = (np.asarray(a, dtype=np.int64).ravel() for a in (
+        counterparts, np.full(len(txns), -1) if record_customers is None else record_customers))
+    if not len(txns) == len(directions) == len(counterparts) == len(record_customers):
         raise ConfigError("record transactions, directions, counterparts and customers "
                           "differ in length")
     for direction in set(directions):
         check_direction(direction)
-    _seed_ids(counterparts + 1, g.n_customers + 1, "counterpart customer")
+    _seed_ids(np.concatenate([counterparts, record_customers]) + 1, g.n_customers + 1,
+              "counterpart or record customer")
     # the counterpart edge is the direction not predicted
     predicts_out = np.array([d == OUTGOING for d in directions], dtype=bool)
-    known = txns < g.n_transactions
-    if known.any() and np.any(counterparts[known] != np.where(
-            predicts_out[known], g.i_dst[txns[known]], g.o_src[txns[known]])):
+    known = (txns < g.n_transactions).nonzero()[0]
+    if len(known) and (counterparts[known] != np.where(
+            predicts_out[known], g.i_dst[txns[known]], g.o_src[txns[known]])).any():
         raise ConfigError("record counterpart is not its transaction's other end in the graph")
     owners = (np.where(predicts_out, -1, counterparts),
               np.where(predicts_out, counterparts, -1))

@@ -28,7 +28,7 @@ from . import ndtensor as nd
 from .errors import ConfigError, NumericalError
 from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
-                    RawTransaction, as_rng, check_direction, chunk_parts,
+                    RawTransaction, _seed_ids, as_rng, check_direction, chunk_parts,
                     read_records, resolve_transactions, sample_negatives,
                     sample_neighborhood, sample_records)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
@@ -229,21 +229,20 @@ def validation_loss(params: ModelParams, g: BipartiteGraph,
                     msg_g: BipartiteGraph, split: EdgeSplit,
                     config: TrainingConfig, val_negs: dict) -> float:
     """Deterministic held-out loss: each direction's `link_loss` over its
-    validation edges and `val_negs` (`predict_pairs` on the message graph),
+    validation edges and `val_negs` (scored as `predict_pairs` scores them),
     weighted by the edge count."""
-    rows, sizes = [], []
-    for d in DIRECTIONS:
-        val, (neg_c, neg_t) = split.validation[d], val_negs[d]
-        for cs, ts in ((g.edge_endpoints(d)[val], val), (neg_c, neg_t)):
-            rows += [(d, c, t) for c, t in zip(cs.tolist(), ts.tolist())]
-        sizes.append((val.size, neg_t.size))
-    y = predict_pairs(params, msg_g, rows, config)
-    total, count, at = 0.0, 0, 0
-    for n_pos, n_neg in sizes:
-        y_pos, y_neg, at = y[at:at + n_pos], y[at + n_pos:at + n_pos + n_neg], at + n_pos + n_neg
-        if n_pos:
-            loss = link_loss(Tensor(y_pos[:, None]), Tensor(y_neg.reshape(n_pos, -1)))
-            total, count = total + float(loss.data) * n_pos, count + n_pos
+    # (direction, customers, transactions): each direction's positives, then negatives
+    blocks = [(d, cs, ts) for d in DIRECTIONS
+              for cs, ts in ((g.edge_endpoints(d)[split.validation[d]], split.validation[d]),
+                             val_negs[d])]
+    y = _score_pairs(params, msg_g, *(np.concatenate([b[i] for b in blocks]) for i in (1, 2)),
+                     [d for d, _, ts in blocks for _ in range(len(ts))], config)
+    ys = np.split(y, np.cumsum([len(ts) for _, _, ts in blocks])[:-1])
+    total, count = 0.0, 0
+    for y_pos, y_neg in zip(ys[::2], ys[1::2]):
+        if len(y_pos):
+            loss = link_loss(Tensor(y_pos[:, None]), Tensor(y_neg.reshape(len(y_pos), -1)))
+            total, count = total + float(loss.data) * len(y_pos), count + len(y_pos)
     if count == 0:
         raise ConfigError("no validation edges in either direction")
     return total / count
@@ -322,14 +321,8 @@ def predict_pairs(params: ModelParams, msg_g: BipartiteGraph,
                   ) -> np.ndarray:
     """Link likelihood for (direction, customer, txn) rows of `msg_g`,
     each hiding only its own edge (`_score_rows`)."""
-    directions = [r[0] for r in rows]
-    txns = np.array([r[2] for r in rows], dtype=np.int64)
-    if len(txns) and not 0 <= txns.min() <= txns.max() < msg_g.n_transactions:
-        raise ConfigError("transaction index out of range")
-    counterparts = np.where([d == OUTGOING for d in directions],
-                            msg_g.i_dst[txns], msg_g.o_src[txns])
-    return _score_rows(params, msg_g, np.array([r[1] for r in rows], dtype=np.int64),
-                       txns, directions, counterparts, config)
+    return _score_pairs(params, msg_g, [r[1] for r in rows], [r[2] for r in rows],
+                        [r[0] for r in rows], config)
 
 
 def evaluate_split(params: ModelParams, g: BipartiteGraph, split: EdgeSplit,
@@ -359,44 +352,35 @@ class AnomalyResult:
 
 
 def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
-                directions, counterparts, config: TrainingConfig,
+                directions, counterparts, hides, config: TrainingConfig,
                 x_new: np.ndarray | None = None) -> np.ndarray:
     """Link likelihood of each row (customer, transaction, direction).
 
     A row hides only its own edge: its transaction reads `g` holding only
     its counterpart edge (to counterparts[i], -1 for none), and its
-    customer reads `g` less that transaction's edge in the row's direction.
-    Transaction g.n_transactions + k is new, with features x_new[k]. A row
-    whose transaction is new, or has that edge in `g`, is its own
-    `sample_records` part (its customer too, unless the transaction is
-    new); all else reads part 0, `g` as it stands. Each chunk of whole
-    parts is encoded once; products are row-exact, so each row's score is
-    bit-identical to scoring it alone, in any batch or order.
+    customer reads `g` less that transaction's edge in the row's direction,
+    which `g` holds where hides[i]. Transaction g.n_transactions + k is
+    new, with features x_new[k]. A row whose transaction is new, or that
+    hides an edge, is its own `sample_records` part (its customer too, if
+    it hides one); all else reads part 0, `g` as it stands. Each chunk of
+    whole parts is encoded once; products are row-exact, so each row's
+    score is bit-identical to scoring it alone, in any batch or order.
     """
-    for d in set(directions):
-        check_direction(d)
-    known = txns < g.n_transactions
-    hides = known.copy()
-    if known.any():
-        t, outgoing = txns[known], np.array([d == OUTGOING for d in directions])[known]
-        hides[known] = np.where(outgoing, g.o_src[t], g.i_dst[t]) >= 0
-    own = hides | ~known   # rows sampled as their own part
-    seeds_c = np.unique(customers[~hides])
-    seeds_t = txns[:0] if own.all() else np.unique(txns[~own])
+    own = (txns >= g.n_transactions) | hides   # rows sampled as their own part
+    on_c, on_t = ~hides, ~own   # rows reading part 0's customer, transaction
+    seeds_c, seeds_t = np.unique(customers[on_c]), np.unique(txns[on_t])
     z_c, z_t = np.empty((2, len(txns), params.w_dec.shape[0]))
     z0_c, z0_t = np.empty((len(seeds_c), z_c.shape[1])), np.empty((len(seeds_t), z_c.shape[1]))
-    parted = np.flatnonzero(own)
+    parted = own.nonzero()[0]
     calls = max(-(-len(parted) // _SCORE_CHUNK_ROWS),
                 -(-max(len(seeds_c), len(seeds_t)) // _PART0_SEEDS), 1)
     for k in range(calls):
         block = parted[k * _SCORE_CHUNK_ROWS:(k + 1) * _SCORE_CHUNK_ROWS]
         cut = slice(k * _PART0_SEEDS, (k + 1) * _PART0_SEEDS)
         union, parts = sample_records(
-            g, seeds_c[cut], txns[block], [directions[i] for i in block],
+            g, seeds_c[cut], txns[block], [directions[i] for i in block.tolist()],
             counterparts[block], config.fanout, params.num_layers, config.seed,
-            seed_txns=seeds_t[cut],
-            record_customers=np.where(hides[block], customers[block], -1)
-            if hides.any() else None)
+            seed_txns=seeds_t[cut], record_customers=np.where(hides[block], customers[block], -1))
         for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
             zc, zt = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
             zc, zt = zc.data, zt.data
@@ -408,10 +392,24 @@ def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
             rows = block[max(a, 1) - 1:b - 1]
             z_t[rows] = zt
             z_c[rows[hides[rows]]] = zc
-    z_c[~hides] = z0_c[seeds_c.searchsorted(customers[~hides])]
-    if len(seeds_t):
-        z_t[~own] = z0_t[seeds_t.searchsorted(txns[~own])]
+    z_c[on_c] = z0_c[seeds_c.searchsorted(customers[on_c])]
+    z_t[on_t] = z0_t[seeds_t.searchsorted(txns[on_t])]
     return decode(params.w_dec, Tensor(z_c), Tensor(z_t)).data[:, 0]
+
+
+def _score_pairs(params: ModelParams, msg_g: BipartiteGraph, customers, txns,
+                 directions, config: TrainingConfig) -> np.ndarray:
+    """`_score_rows` of (customer, transaction, direction) rows of `msg_g`,
+    each counterpart the transaction's other end in `msg_g`. An unknown
+    direction, or an index outside `msg_g`, raises ConfigError."""
+    for d in set(directions):
+        check_direction(d)
+    customers = _seed_ids(customers, msg_g.n_customers, "customer")
+    txns = _seed_ids(txns, msg_g.n_transactions, "transaction")
+    outgoing = np.array([d == OUTGOING for d in directions], dtype=bool)
+    counterparts = np.where(outgoing, msg_g.i_dst[txns], msg_g.o_src[txns])
+    hides = np.where(outgoing, msg_g.o_src[txns], msg_g.i_dst[txns]) >= 0
+    return _score_rows(params, msg_g, customers, txns, directions, counterparts, hides, config)
 
 
 def score_transactions(params: ModelParams, g: BipartiteGraph,
@@ -433,8 +431,8 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     y_hat = np.full(len(k), np.nan)
     y_hat[warm] = _score_rows(params, g, ends[k, side][warm], g.n_transactions + k[warm],
                               [DIRECTIONS[s] for s in side[warm]], ends[k, 1 - side][warm],
-                              config, x_new)
-    if not np.all(np.isfinite(y_hat[warm])):
+                              np.zeros(warm.sum(), dtype=bool), config, x_new)
+    if not np.isfinite(y_hat[warm]).all():
         raise NumericalError("a score is not finite: the model, graph or "
                              "transactions hold values too large to encode")
     return [AnomalyResult(t.txn_id, DIRECTIONS[s], (t.source_customer, t.dest_customer)[s],

@@ -641,6 +641,10 @@ class TestRecordSampler:
             with pytest.raises(ConfigError):
                 gr.sample_records(g, customers, txns, directions, counterparts,
                                   fanout=2, num_layers=1, seed=0)
+        for record_customers in ([g.n_customers], [-2], [0, 0]):
+            with pytest.raises(ConfigError):
+                gr.sample_records(g, [], [t], [out], [int(g.i_dst[t])], fanout=2,
+                                  num_layers=1, seed=0, record_customers=record_customers)
 
 
 class TestGradients:

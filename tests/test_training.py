@@ -421,6 +421,19 @@ class TestPredictPairs:
         with pytest.raises(ConfigError, match="direction"):
             tr.predict_pairs(params, g, rows, cfg)
 
+    @pytest.mark.parametrize("what,at", [("customer", -1), ("customer", None),
+                                         ("transaction", -1), ("transaction", None)])
+    def test_index_out_of_range_rejected(self, trained, what, at):
+        """Beside a row that hides its edge, so a bad index cannot borrow
+        that row's sample."""
+        g, params, cfg = trained
+        t0, t1 = (int(t) for t in g.edges(gr.OUTGOING)[:2])
+        n = g.n_customers if what == "customer" else g.n_transactions
+        bad = n if at is None else at
+        row = (gr.OUTGOING, bad, t1, 1) if what == "customer" else (gr.OUTGOING, 0, bad, 1)
+        with pytest.raises(ConfigError, match=f"{what} index out of range"):
+            tr.predict_pairs(params, g, [(gr.OUTGOING, 0, t0, 1), row], cfg)
+
 
 @pytest.fixture(scope="module")
 def trained():
