@@ -7,6 +7,8 @@ flag customers whose representation swung away from any earlier period.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -17,6 +19,8 @@ from .graph import BipartiteGraph, full_subgraph
 from .model import ModelParams, encode
 
 DIVERGENCE_THRESHOLD = 0.8
+_BLOCK_ROWS = 256   # embedding rows formatted or parsed at once
+_FIELD_BREAK = re.compile("[\t\n\r]")   # ends a field or line of the export
 
 
 def cosine_similarity(a, b) -> float:
@@ -55,30 +59,58 @@ def divergence_report(snapshots: Sequence[Mapping[str, np.ndarray]],
     below the threshold. Diagonals are exactly 1 and the matrix is
     mirrored, so symmetry is structural. Customers must appear in every
     snapshot, with embeddings as wide as the first snapshot's (else
-    IngestError); the ids default to the first snapshot's, sorted.
+    IngestError); the ids default to the first snapshot's, sorted. Each
+    entry has the bits of `cosine_similarity` of the two embeddings.
     """
     k = len(snapshots)
     if k < 2:
         raise ConfigError(f"need at least two snapshots, got {k}")
     if customer_ids is None:
         customer_ids = sorted(snapshots[0].keys())
-    report = []
+    vecs = []   # per customer, its flat embedding in each snapshot
     for cid in customer_ids:
-        vecs = []
+        row = []
         for idx, snap in enumerate(snapshots):
             if cid not in snap:
-                raise IngestError(f"customer {cid!r} missing from snapshot {idx}")
-            vecs.append(snap[cid])
-            if np.size(vecs[-1]) != np.size(vecs[0]):
-                raise IngestError(f"snapshot {idx} embeddings are not as wide as snapshot 0's")
-        m = np.eye(k)
-        for i in range(k):
-            for j in range(i + 1, k):
-                m[i, j] = m[j, i] = cosine_similarity(vecs[i], vecs[j])
-        off = m[~np.eye(k, dtype=bool)]
-        lowest = float(off.min())
-        report.append(CustomerDrift(cid, m, lowest, lowest < threshold))
-    return report
+                fault = f"customer {cid!r} missing from snapshot {idx}"
+            elif row and np.size(snap[cid]) != row[0].size:
+                fault = f"snapshot {idx} embeddings are not as wide as snapshot 0's"
+            else:
+                row.append(np.ravel(snap[cid]))
+                continue
+            _pair_cosines(vecs, k)   # an earlier customer's zero vector is refused first
+            raise IngestError(fault)
+        vecs.append(row)
+    sims = _pair_cosines(vecs, k)
+    lowest = sims[:, ~np.eye(k, dtype=bool)].min(axis=1).tolist()
+    return [CustomerDrift(cid, m, low, low < threshold)
+            for cid, m, low in zip(customer_ids, sims, lowest)]
+
+
+def _pair_cosines(vecs: list[list[np.ndarray]], k: int) -> np.ndarray:
+    """(customers, k, k) cosine matrices of each customer's k embeddings.
+
+    Customers of one width are stacked, and each snapshot pair is one
+    `vecdot` (row-wise `a @ b`) over the product of `linalg.norm`s, which
+    has the bits of `cosine_similarity`'s plain formula. Where that is
+    not finite, the entry is `cosine_similarity` itself, which rescales
+    or refuses a zero vector.
+    """
+    sims = np.tile(np.eye(k), (len(vecs), 1, 1))
+    widths = np.array([row[0].size for row in vecs], dtype=np.int64)
+    pairs = list(itertools.combinations(range(k), 2))
+    for width in np.unique(widths):
+        sel = np.flatnonzero(widths == width)
+        z = [np.array([vecs[n][idx] for n in sel.tolist()], dtype=np.float64)
+             for idx in range(k)]
+        with np.errstate(all="ignore"):
+            norms = [np.sqrt(np.vecdot(a, a)) for a in z]
+            cos = [np.vecdot(z[i], z[j]) / (norms[i] * norms[j]) for i, j in pairs]
+        for (i, j), c in zip(pairs, cos):
+            for r in np.flatnonzero(~np.isfinite(c)).tolist():
+                c[r] = cosine_similarity(z[i][r], z[j][r])
+            sims[sel, i, j] = sims[sel, j, i] = c
+    return sims
 
 
 def compute_embeddings(params: ModelParams, g: BipartiteGraph,
@@ -108,16 +140,26 @@ def compute_embeddings(params: ModelParams, g: BipartiteGraph,
 
 def export_embeddings(params: ModelParams, g: BipartiteGraph, path: str,
                       layer: int | None = None) -> None:
-    """Write one tab-delimited row per node: type, id, coordinates."""
+    """Write one tab-delimited row per node: type, id, coordinates, each
+    coordinate its float `repr`. Rows are formatted and written a block
+    of `_BLOCK_ROWS` at a time. An id holding a tab or line break, which
+    no field of the export can hold, raises IngestError before any write."""
     c_ids, z_c, t_ids, z_t = compute_embeddings(params, g, layer)
+    for kind, ids in (("customer", c_ids), ("transaction", t_ids)):
+        if _FIELD_BREAK.search("".join(ids)):
+            nid = next(nid for nid in ids if _FIELD_BREAK.search(nid))
+            raise IngestError(f"{kind} id {nid!r} holds a tab or line break: "
+                              "the export cannot hold it")
     with open(path, "w", encoding="utf-8") as fh:
         width = z_c.shape[1]
         fh.write("node_type\tnode_id\t" +
                  "\t".join(f"v{i}" for i in range(width)) + "\n")
         for ids, z, kind in ((c_ids, z_c, "customer"), (t_ids, z_t, "transaction")):
-            for nid, row in zip(ids, z):
-                fh.write(kind + "\t" + nid + "\t" +
-                         "\t".join(repr(float(v)) for v in row) + "\n")
+            for lo in range(0, len(ids), _BLOCK_ROWS):
+                fh.write("".join(
+                    f"{kind}\t{nid}\t" + "\t".join(map(repr, row)) + "\n"
+                    for nid, row in zip(ids[lo:lo + _BLOCK_ROWS],
+                                        z[lo:lo + _BLOCK_ROWS].tolist())))
 
 
 def read_embeddings(path: str) -> tuple[dict, dict]:
@@ -125,9 +167,12 @@ def read_embeddings(path: str) -> tuple[dict, dict]:
 
     Text that is not UTF-8, a header without coordinate columns, a
     malformed row, a non-finite coordinate and a second row of one node
-    raise IngestError naming the file (and line).
+    raise IngestError naming the file (and line). Lines are read a block
+    of `_BLOCK_ROWS` at a time (`_read_block`), and the file's first
+    fault is refused, as a line-by-line reader refuses it.
     """
     tables: dict[str, dict[str, np.ndarray]] = {"customer": {}, "transaction": {}}
+    lineno, block = 2, []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().rstrip("\n").split("\t")
@@ -135,22 +180,50 @@ def read_embeddings(path: str) -> tuple[dict, dict]:
                 raise IngestError(f"{path}: not an embedding export")
             if len(header) < 3:
                 raise IngestError(f"{path}: embedding export has no coordinate columns")
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != len(header):
-                    raise IngestError(f"{path}:{lineno}: wrong column count")
-                kind, nid = parts[0], parts[1]
-                try:
-                    vec = np.array([float(v) for v in parts[2:]])
-                except ValueError as e:
-                    raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
-                if not np.all(np.isfinite(vec)):
-                    raise IngestError(f"{path}:{lineno}: non-finite embedding value")
-                if kind not in tables:
-                    raise IngestError(f"{path}:{lineno}: unknown node type {kind!r}")
-                if nid in tables[kind]:
-                    raise IngestError(f"{path}:{lineno}: {kind} {nid!r} is repeated")
-                tables[kind][nid] = vec
+            for line in fh:
+                block.append(line)
+                if len(block) == _BLOCK_ROWS:
+                    _read_block(path, lineno, block, len(header), tables)
+                    lineno, block = lineno + len(block), []
         except UnicodeDecodeError as e:
+            if block:   # the lines decoded before the bad bytes are read first
+                _read_block(path, lineno, block, len(header), tables)
             raise IngestError(f"{path}: not UTF-8 text: {e}") from e
+    _read_block(path, lineno, block, len(header), tables)
     return tables["customer"], tables["transaction"]
+
+
+def _read_block(path: str, lineno: int, lines: list[str], width: int,
+                tables: dict[str, dict[str, np.ndarray]]) -> None:
+    """Add the rows of `lines`, the file's lines from `lineno` on, to
+    `tables`. A block without a fault is parsed in one numpy call (it
+    parses each value as `float` does) and each row is a view of it; a
+    block with one is read line by line, and its first fault raises
+    IngestError naming the file and line."""
+    rows = [line.rstrip("\n").split("\t") for line in lines]
+    if all(len(parts) == width for parts in rows):
+        try:
+            z = np.array([parts[2:] for parts in rows], dtype=np.float64)
+        except ValueError:
+            z = None
+        keys = {(parts[0], parts[1]) for parts in rows}
+        if (z is not None and np.isfinite(z).all() and len(keys) == len(rows)
+                and all(kind in tables and nid not in tables[kind] for kind, nid in keys)):
+            for parts, vec in zip(rows, z):
+                tables[parts[0]][parts[1]] = vec
+            return
+    for lineno, parts in enumerate(rows, start=lineno):
+        if len(parts) != width:
+            raise IngestError(f"{path}:{lineno}: wrong column count")
+        kind, nid = parts[0], parts[1]
+        try:
+            vec = np.array([float(v) for v in parts[2:]])
+        except ValueError as e:
+            raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
+        if not np.all(np.isfinite(vec)):
+            raise IngestError(f"{path}:{lineno}: non-finite embedding value")
+        if kind not in tables:
+            raise IngestError(f"{path}:{lineno}: unknown node type {kind!r}")
+        if nid in tables[kind]:
+            raise IngestError(f"{path}:{lineno}: {kind} {nid!r} is repeated")
+        tables[kind][nid] = vec

@@ -315,8 +315,7 @@ def cmd_diverge(args) -> int:
                 "customer_id": rec.customer_id,
                 "min_similarity": rec.min_similarity,
                 "diverging": rec.diverging,
-                "similarity": [[float(v) for v in row]
-                               for row in rec.similarity],
+                "similarity": rec.similarity.tolist(),
             }) + "\n")
     write_manifest(args.out + ".manifest.json", "diverge", values,
                    list(args.embeddings), [args.out])

@@ -28,8 +28,8 @@ from . import ndtensor as nd
 from .errors import ConfigError, NumericalError
 from .evaluation import average_precision, roc_auc
 from .graph import (DIRECTIONS, INCOMING, OUTGOING, BipartiteGraph, EdgeSplit,
-                    RawTransaction, _seed_ids, as_rng, check_direction, chunk_parts,
-                    read_records, resolve_transactions, sample_negatives,
+                    RawTransaction, _flat_neighbors, _seed_ids, as_rng, check_direction,
+                    chunk_parts, read_records, resolve_transactions, sample_negatives,
                     sample_neighborhood, sample_records)
 from .model import ModelParams, anomaly_score, decode, encode, init_params
 from .ndtensor import Tensor, bce, gather_rows, reshape, scale, zero_grad
@@ -352,7 +352,7 @@ class AnomalyResult:
 
 
 def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
-                directions, counterparts, hides, config: TrainingConfig,
+                directions, counterparts, hides, near, config: TrainingConfig,
                 x_new: np.ndarray | None = None) -> np.ndarray:
     """Link likelihood of each row (customer, transaction, direction).
 
@@ -361,13 +361,14 @@ def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
     customer reads `g` less that transaction's edge in the row's direction,
     which `g` holds where hides[i]. Transaction g.n_transactions + k is
     new, with features x_new[k]. A row whose transaction is new, or that
-    hides an edge, is its own `sample_records` part (its customer too, if
-    it hides one); all else reads part 0, `g` as it stands. Each chunk of
-    whole parts is encoded once; products are row-exact, so each row's
-    score is bit-identical to scoring it alone, in any batch or order.
+    hides an edge, is its own `sample_records` part, and so is its
+    customer where near[i] (hides[i], and the customer's embedding may
+    read the hidden edge); all else reads part 0, `g` as it stands. Each
+    chunk of whole parts is encoded once; products are row-exact, so each
+    row's score is bit-identical to scoring it alone, in any batch or order.
     """
     own = (txns >= g.n_transactions) | hides   # rows sampled as their own part
-    on_c, on_t = ~hides, ~own   # rows reading part 0's customer, transaction
+    on_c, on_t = ~near, ~own   # rows reading part 0's customer, transaction
     seeds_c, seeds_t = np.unique(customers[on_c]), np.unique(txns[on_t])
     z_c, z_t = np.empty((2, len(txns), params.w_dec.shape[0]))
     z0_c, z0_t = np.empty((len(seeds_c), z_c.shape[1])), np.empty((len(seeds_t), z_c.shape[1]))
@@ -380,7 +381,7 @@ def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
         union, parts = sample_records(
             g, seeds_c[cut], txns[block], [directions[i] for i in block.tolist()],
             counterparts[block], config.fanout, params.num_layers, config.seed,
-            seed_txns=seeds_t[cut], record_customers=np.where(hides[block], customers[block], -1))
+            seed_txns=seeds_t[cut], record_customers=np.where(near[block], customers[block], -1))
         for a, b, chunk in chunk_parts(union, parts, _SCORE_CHUNK_ROWS):
             zc, zt = encode(params, chunk, g.x_c, g.x_t, x_new=x_new)
             zc, zt = zc.data, zt.data
@@ -391,7 +392,7 @@ def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
             # part p is block[p - 1], its seeds the chunk's next level-0 rows
             rows = block[max(a, 1) - 1:b - 1]
             z_t[rows] = zt
-            z_c[rows[hides[rows]]] = zc
+            z_c[rows[near[rows]]] = zc
     z_c[on_c] = z0_c[seeds_c.searchsorted(customers[on_c])]
     z_t[on_t] = z0_t[seeds_t.searchsorted(txns[on_t])]
     return decode(params.w_dec, Tensor(z_c), Tensor(z_t)).data[:, 0]
@@ -401,15 +402,49 @@ def _score_pairs(params: ModelParams, msg_g: BipartiteGraph, customers, txns,
                  directions, config: TrainingConfig) -> np.ndarray:
     """`_score_rows` of (customer, transaction, direction) rows of `msg_g`,
     each counterpart the transaction's other end in `msg_g`. An unknown
-    direction, or an index outside `msg_g`, raises ConfigError."""
+    direction, or an index outside `msg_g`, raises ConfigError.
+
+    A row's hidden edge changes the layer-h embedding of a node only if the
+    node lies within h - 1 hops of the edge's ends, and a sample is a pure
+    function of the node, so a customer farther than L - 1 hops, in
+    `msg_g`, reads part 0 with the same bits (at 2 layers: a customer other
+    than the transaction's two ends)."""
     for d in set(directions):
         check_direction(d)
     customers = _seed_ids(customers, msg_g.n_customers, "customer")
     txns = _seed_ids(txns, msg_g.n_transactions, "transaction")
     outgoing = np.array([d == OUTGOING for d in directions], dtype=bool)
     counterparts = np.where(outgoing, msg_g.i_dst[txns], msg_g.o_src[txns])
-    hides = np.where(outgoing, msg_g.o_src[txns], msg_g.i_dst[txns]) >= 0
-    return _score_rows(params, msg_g, customers, txns, directions, counterparts, hides, config)
+    ends = np.where(outgoing, msg_g.o_src[txns], msg_g.i_dst[txns])
+    hides = ends >= 0
+    near = np.zeros(len(txns), dtype=bool)
+    at = hides.nonzero()[0]
+    near[at] = _within_hops(msg_g, ends[at], txns[at], customers[at], params.num_layers - 1)
+    return _score_rows(params, msg_g, customers, txns, directions, counterparts, hides,
+                       near, config)
+
+
+def _within_hops(g: BipartiteGraph, ends, txns, customers, hops: int) -> np.ndarray:
+    """Whether customers[i] lies within `hops` hops, in `g`, of customer
+    ends[i] or transaction txns[i] (a breadth-first search per row, over
+    keys row * n + node)."""
+    n_c, n_t = g.n_customers, g.n_transactions
+    rows = np.arange(len(txns))
+    seen_c = front_c = rows * n_c + ends
+    seen_t = front_t = rows * n_t + txns
+    for hop in range(hops):
+        r, t = np.divmod(front_t, n_t)
+        reached_c = np.concatenate([(r * n_c + e)[e >= 0] for e in (g.o_src[t], g.i_dst[t])])
+        reached_t = [np.empty(0, dtype=np.int64)]
+        if hop + 1 < hops:   # the last hop's transactions reach no customer
+            r, c = np.divmod(front_c, n_c)
+            for indptr, indices in ((g.out_indptr, g.out_indices), (g.in_indptr, g.in_indices)):
+                nbrs, counts = _flat_neighbors(indptr, indices, c)
+                reached_t.append(r.repeat(counts) * n_t + nbrs)
+        front_c = np.setdiff1d(reached_c, seen_c)
+        front_t = np.setdiff1d(np.concatenate(reached_t), seen_t)
+        seen_c, seen_t = np.union1d(seen_c, front_c), np.union1d(seen_t, front_t)
+    return np.isin(rows * n_c + customers, seen_c)
 
 
 def score_transactions(params: ModelParams, g: BipartiteGraph,
@@ -429,9 +464,10 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     k, side = np.nonzero((ends >= 0) | cold)
     warm = ~cold[k, side]
     y_hat = np.full(len(k), np.nan)
+    none = np.zeros(warm.sum(), dtype=bool)   # a new transaction hides no edge
     y_hat[warm] = _score_rows(params, g, ends[k, side][warm], g.n_transactions + k[warm],
                               [DIRECTIONS[s] for s in side[warm]], ends[k, 1 - side][warm],
-                              np.zeros(warm.sum(), dtype=bool), config, x_new)
+                              none, none, config, x_new)
     if not np.isfinite(y_hat[warm]).all():
         raise NumericalError("a score is not finite: the model, graph or "
                              "transactions hold values too large to encode")

@@ -1,8 +1,14 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amlgraph.analytics as an
 import amlgraph.graph as gr
+from amlgraph import cli
 from amlgraph.errors import ConfigError, IngestError, NumericalError
 from amlgraph.model import init_params
 
@@ -105,9 +111,9 @@ class TestEmbeddingExport:
         c_ids, z_c, t_ids, z_t = an.compute_embeddings(params, g)
         assert list(customers) == c_ids and list(txns) == t_ids
         for nid, row in zip(c_ids, z_c):
-            assert np.array_equal(customers[nid], row)
+            assert customers[nid].tobytes() == row.tobytes()
         for nid, row in zip(t_ids, z_t):
-            assert np.array_equal(txns[nid], row)
+            assert txns[nid].tobytes() == row.tobytes()
 
     def test_layer_selection(self):
         g = toy_graph()
@@ -138,3 +144,261 @@ class TestEmbeddingExport:
                         f"customer\ty\t1.0\t1.0\n{kind}\tx\t0.0\t1.0\n")
         with pytest.raises(IngestError, match=f"emb.tsv:4: {kind} 'x' is repeated"):
             an.read_embeddings(str(path))
+
+
+# floats whose text is hard to round-trip: signed zeros, subnormals, the
+# largest finite values, and values where `repr` switches to exponent form
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e308, -1e308, 1e16, 9999999999999998.0, 1e-4, 1e-5, 0.0001000000000000001,
+               1.0000000000000002, 0.1, -123456789.123]
+# ids with characters `str.splitlines` breaks on but the file iterator does not
+ODD_IDS = ["a\x0bb", "a\x1cb", "a\u2028b", "a\x85b", "\xe9"]
+
+
+def line_reader(path):
+    """The line-by-line embedding reader: the refusals `read_embeddings`
+    must make, with the same messages and lines."""
+    tables = {"customer": {}, "transaction": {}}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[:2] != ["node_type", "node_id"]:
+                raise IngestError(f"{path}: not an embedding export")
+            if len(header) < 3:
+                raise IngestError(f"{path}: embedding export has no coordinate columns")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != len(header):
+                    raise IngestError(f"{path}:{lineno}: wrong column count")
+                kind, nid = parts[0], parts[1]
+                try:
+                    vec = np.array([float(v) for v in parts[2:]])
+                except ValueError as e:
+                    raise IngestError(f"{path}:{lineno}: bad embedding value: {e}") from e
+                if not np.all(np.isfinite(vec)):
+                    raise IngestError(f"{path}:{lineno}: non-finite embedding value")
+                if kind not in tables:
+                    raise IngestError(f"{path}:{lineno}: unknown node type {kind!r}")
+                if nid in tables[kind]:
+                    raise IngestError(f"{path}:{lineno}: {kind} {nid!r} is repeated")
+                tables[kind][nid] = vec
+        except UnicodeDecodeError as e:
+            raise IngestError(f"{path}: not UTF-8 text: {e}") from e
+    return tables["customer"], tables["transaction"]
+
+
+def export_arrays(path, c_ids, z_c, t_ids, z_t):
+    """`export_embeddings` of the given rows in place of a model's."""
+    with mock.patch.object(an, "compute_embeddings", return_value=(c_ids, z_c, t_ids, z_t)):
+        an.export_embeddings(None, None, path)
+
+
+def snapshot_lines(n_c, n_t, width=3, seed=0):
+    """A valid export's lines (no newlines), header first."""
+    rng = np.random.default_rng(seed)
+    head = "node_type\tnode_id\t" + "\t".join(f"v{i}" for i in range(width))
+    rows = [f"{kind}\t{kind[0]}{i}{ODD_IDS[i % len(ODD_IDS)]}\t" +
+            "\t".join(map(repr, rng.normal(size=width).tolist()))
+            for kind, n in (("customer", n_c), ("transaction", n_t)) for i in range(n)]
+    return [head] + rows
+
+
+def apply_fault(lines, index, fault):
+    """lines[index] (file line index + 1) given one of the reader's faults."""
+    line = lines[index]
+    kind, nid, *values = line.split("\t")
+    lines[index] = {
+        "columns": "\t".join([kind, nid, *values[:-1]]),
+        "value": "\t".join([kind, nid, *values[:-1], "0x1f"]),
+        "non-finite": "\t".join([kind, nid, *values[:-1], "1e400"]),
+        "type": "\t".join(["account", nid, *values]),
+        "repeated": "\t".join(lines[1].split("\t")[:2] + values),
+        "utf8": line,
+    }[fault]
+    return line.split("\t")[1] if fault == "utf8" else None
+
+
+def write_lines(path, lines, bad_bytes_in=()):
+    """The lines joined by "\n"; ids named in `bad_bytes_in` get a 0xff byte."""
+    blob = ("\n".join(lines) + "\n").encode("utf-8")
+    for nid in bad_bytes_in:
+        blob = blob.replace(nid.encode("utf-8"), nid.encode("utf-8") + b"\xff", 1)
+    path.write_bytes(blob)
+
+
+def refusal(read, path):
+    with pytest.raises(IngestError) as info:
+        read(str(path))
+    return str(info.value)
+
+
+FAULTS = ["columns", "value", "non-finite", "type", "repeated", "utf8"]
+
+
+class TestSnapshotBlocks:
+    """`read_embeddings` reads and `export_embeddings` writes `_BLOCK_ROWS`
+    rows at a time, with the bytes and refusals of one row at a time."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_export_read_bitwise(self, tmp_path_factory, data):
+        """Export then read gives every row's bits back, ids in any order."""
+        block = an._BLOCK_ROWS
+        n_c, n_t = (data.draw(st.integers(0, 2 * block + 2), label=f"{k} rows") for k in "ct")
+        width = data.draw(st.integers(1, 5), label="width")
+        pool = EDGE_FLOATS + data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), max_size=6), label="floats")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        z_c, z_t = (np.array(pool)[rng.integers(0, len(pool), size=(n, width))]
+                    for n in (n_c, n_t))
+        c_ids, t_ids = ([f"{k}{i}{ODD_IDS[i % len(ODD_IDS)]}" for i in rng.permutation(n)]
+                        for k, n in (("c", n_c), ("t", n_t)))
+        path = str(tmp_path_factory.mktemp("emb") / "emb.tsv")
+        export_arrays(path, c_ids, z_c, t_ids, z_t)
+        with open(path, encoding="utf-8") as fh:   # the row-at-a-time format
+            assert fh.read().split("\n")[1:] == [
+                f"{kind}\t{nid}\t" + "\t".join(repr(float(v)) for v in row)
+                for ids, z, kind in ((c_ids, z_c, "customer"), (t_ids, z_t, "transaction"))
+                for nid, row in zip(ids, z)] + [""]
+        customers, txns = an.read_embeddings(path)
+        for table, ids, z in ((customers, c_ids, z_c), (txns, t_ids, z_t)):
+            assert list(table) == ids
+            assert all(table[nid].tobytes() == row.tobytes() for nid, row in zip(ids, z))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_refusals_match_line_reader(self, tmp_path_factory, data):
+        """One or two faults past the first block: the first in the file is
+        refused, with the line reader's message."""
+        block = an._BLOCK_ROWS
+        lines = snapshot_lines(2 * block, block)
+        at = data.draw(st.lists(st.integers(block + 1, len(lines) - 1), min_size=1,
+                                max_size=2, unique=True), label="faulty lines")
+        faults = [data.draw(st.sampled_from(FAULTS), label="fault") for _ in at]
+        bad_bytes = [apply_fault(lines, i, f) for i, f in zip(at, faults)]
+        path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+        write_lines(path, lines, [nid for nid in bad_bytes if nid])
+        assert refusal(an.read_embeddings, path) == refusal(line_reader, path)
+
+    @pytest.mark.parametrize("faults, message", [
+        ([("columns", 300)], "{path}:300: wrong column count"),
+        ([("value", 300)],
+         "{path}:300: bad embedding value: could not convert string to float: '0x1f'"),
+        ([("non-finite", 300)], "{path}:300: non-finite embedding value"),
+        ([("type", 300)], "{path}:300: unknown node type 'account'"),
+        ([("repeated", 300)], "{path}:300: customer 'c0a\\x0bb' is repeated"),
+        # two faults: the earlier line wins, in one block or across blocks
+        ([("non-finite", 270), ("columns", 280)], "{path}:270: non-finite embedding value"),
+        ([("repeated", 300), ("value", 600)], "{path}:300: customer 'c0a\\x0bb' is repeated"),
+        ([("columns", 600), ("type", 520)], "{path}:520: unknown node type 'account'"),
+        ([("type", 300), ("utf8", 700)], "{path}:300: unknown node type 'account'"),
+        # bad bytes some 8 KB decoder chunks on, in the same block
+        ([("type", 270), ("utf8", 480)], "{path}:270: unknown node type 'account'")],
+        ids=["columns", "value", "non-finite", "type", "repeated", "same-block",
+             "later-block", "earlier-block", "before-utf8", "before-utf8-same-block"])
+    def test_diverge_refusal_past_first_block(self, tmp_path, capsys, faults, message):
+        """Through `diverge`: exit 2, one stderr line naming the file and
+        line, no output."""
+        lines = snapshot_lines(2 * an._BLOCK_ROWS, an._BLOCK_ROWS)
+        bad_bytes = [apply_fault(lines, lineno - 1, fault) for fault, lineno in faults]
+        path = tmp_path / "emb.tsv"
+        write_lines(path, lines, [nid for nid in bad_bytes if nid])
+        good = tmp_path / "good.tsv"
+        write_lines(good, snapshot_lines(2 * an._BLOCK_ROWS, an._BLOCK_ROWS))
+        out = tmp_path / "drift.jsonl"
+        assert cli.main(["diverge", "--embeddings", str(good), str(path),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert refusal(line_reader, path) == message.format(path=path)
+
+    @pytest.mark.parametrize("kind", ["customer", "transaction"])
+    @pytest.mark.parametrize("brk", ["\t", "\n", "\r"])
+    def test_id_breaking_a_field_refused(self, tmp_path, kind, brk):
+        """An id no field can hold is refused before anything is written;
+        the reader would split its row."""
+        ids = {"customer": [f"c{i}" for i in range(300)],
+               "transaction": [f"t{i}" for i in range(300)]}
+        ids[kind][280] = f"x{brk}1"
+        path = tmp_path / "emb.tsv"
+        message = f"{kind} id {ids[kind][280]!r} holds a tab or line break"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            export_arrays(str(path), ids["customer"], np.ones((300, 2)),
+                          ids["transaction"], np.ones((300, 2)))
+        assert not path.exists()
+
+    def test_bad_bytes_past_first_block(self, tmp_path):
+        lines = snapshot_lines(2 * an._BLOCK_ROWS, an._BLOCK_ROWS)
+        path = tmp_path / "emb.tsv"
+        write_lines(path, lines, [lines[600].split("\t")[1]])
+        got = refusal(an.read_embeddings, path)
+        assert got.startswith(f"{path}: not UTF-8 text: ") and got == refusal(line_reader, path)
+
+
+class TestVecdotExact:
+    """`divergence_report` takes every snapshot pair's cosines with
+    `np.vecdot` over stacked rows. That has `cosine_similarity`'s bits only
+    if, on the BLAS in use, a row's `vecdot` equals its `a @ b` and the
+    square root of a row's `vecdot` with itself equals `np.linalg.norm`,
+    bitwise. If this fails on another BLAS or CPU, report it; do not loosen it."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 15, 16, 31, 32, 33, 64, 200, 513])
+    @pytest.mark.parametrize("rows", [1, 2, 300])
+    def test_rows_equal_dot_and_norm(self, width, rows):
+        rng = np.random.default_rng(width * 1000 + rows)
+        a, b = (rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-100, 100, (rows, 1))
+                for _ in range(2))
+        dots, norms = np.vecdot(a, b), np.sqrt(np.vecdot(a, a))
+        for i in range(rows):
+            assert dots[i].tobytes() == (a[i] @ b[i]).tobytes()
+            assert norms[i].tobytes() == np.linalg.norm(a[i]).tobytes()
+
+    def test_report_equals_cosine_loop(self):
+        """Entries, minima and flags have the bits of a per-customer
+        `cosine_similarity` loop, rows scaled to overflow or underflow (its
+        rescaled path) and customers of other widths included."""
+        rng = np.random.default_rng(5)
+        snaps = [{} for _ in range(3)]
+        for i in range(40):
+            width = 32 if i % 7 else 5
+            scale = {0: 1e200, 1: 1e-200, 2: 1e160}.get(i % 9, 1.0)
+            for snap in snaps:
+                snap[f"c{i:02d}"] = rng.normal(size=width) * scale
+        with np.errstate(all="raise"):   # the plain formula warns on none of them
+            report = an.divergence_report(snaps, threshold=0.1)
+        assert [r.customer_id for r in report] == sorted(snaps[0])
+        for r in report:
+            vecs = [snap[r.customer_id] for snap in snaps]
+            m = np.eye(3)
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    m[i, j] = m[j, i] = an.cosine_similarity(vecs[i], vecs[j])
+            assert r.similarity.tobytes() == m.tobytes()
+            low = float(m[~np.eye(3, dtype=bool)].min())
+            assert (r.min_similarity, r.diverging) == (low, low < 0.1)
+            assert np.isfinite(r.similarity).all()
+
+    def test_zero_vector_refused_before_later_customer_missing(self):
+        """A customer's zero vector is refused (NumericalError) before a
+        later customer's absence (IngestError), and after an earlier one's."""
+        one = np.ones(3)
+        zero = {"a": one, "b": np.zeros(3), "c": one}
+        with pytest.raises(NumericalError, match="zero vector"):
+            an.divergence_report([zero, {"a": one, "b": one}])
+        with pytest.raises(IngestError, match="customer 'a' missing from snapshot 1"):
+            an.divergence_report([zero, {"b": one, "c": one}])
+
+    def test_zero_vector_diverge_is_3(self, tmp_path, capsys):
+        lines = snapshot_lines(2 * an._BLOCK_ROWS, 1)
+        kind, nid, *values = lines[400].split("\t")
+        lines[400] = "\t".join([kind, nid] + ["0.0"] * len(values))
+        path, good = tmp_path / "zero.tsv", tmp_path / "good.tsv"
+        write_lines(path, lines)
+        write_lines(good, snapshot_lines(2 * an._BLOCK_ROWS, 1))
+        out = tmp_path / "drift.jsonl"
+        assert cli.main(["diverge", "--embeddings", str(good), str(path),
+                         "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            "error: cosine similarity of a zero vector is undefined\n"

@@ -458,6 +458,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and graph in err
 
+    def test_id_with_tab_embed_is_2(self, pipeline, tmp_path, capsys):
+        """A graph id holding a tab would split its row of the export into
+        a row `diverge` refuses; `embed` refuses it and writes nothing."""
+        g = gr.load_graph(pipeline["graph"])
+        graph = str(tmp_path / "graph.bin")
+        gr.save_graph(types.SimpleNamespace(**{
+            **vars(g), "customer_ids": ("c\t1",) + g.customer_ids[1:]}), graph)
+        out = tmp_path / "emb.tsv"
+        assert run("embed", "--graph", graph, "--model", pipeline["model"],
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            "error: customer id 'c\\t1' holds a tab or line break: the export cannot hold it\n"
+
     def test_embedding_without_coordinates_is_2(self, tmp_path, capsys):
         """A header of only node_type and node_id is malformed input, not a
         zero vector to divide by."""

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,6 +413,70 @@ class TestPredictPairs:
             assert y.tobytes() == np.array([alone[i] for i in picked]).tobytes()
         for row, y in zip(rows, alone):
             assert y.tobytes() == severed_forward(params, msg, row, cfg).tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_far_customer_reads_part_zero(self, data):
+        """A row's customer is sampled in its own part only if it lies within
+        L - 1 hops, in the message graph, of the hidden edge's customer or
+        transaction; a farther one is seeded in part 0, with the bits of
+        the one-pair severed forward."""
+        layers = data.draw(st.integers(1, 3), label="layers")
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="graph"))
+        n_c = 10
+        profiles = [gr.CustomerProfile(f"c{i}", rng.normal(size=3)) for i in range(n_c)]
+        # customer 0 is a hub trading with 1, 4 and 7; the rest trade in pairs
+        # (2r, 2r + 1), so 8 and 9 are far from every other customer
+        ends = [(0, 1 + j % (n_c - 1)) if j % 3 == 0 else
+                (int(2 * r), int(2 * r + 1)) for j, r in enumerate(rng.integers(0, n_c // 2, 45))]
+        txns = [gr.RawTransaction(f"t{j:03d}", f"c{a}", f"c{b}", float(j), rng.normal(size=2))
+                for j, (a, b) in enumerate(ends)]
+        g = gr.build_graph(txns, profiles)
+        split = gr.split_edges(g, (0.6, 0.2, 0.2), seed=1)
+        msg = tr.message_graph(g, split)
+        cfg = small_config(num_layers=layers, fanout=2,
+                           seed=data.draw(st.integers(0, 2 ** 63), label="seed"))
+        assert np.diff(msg.out_indptr).max() > cfg.fanout   # the cap truncates
+        params = init_params("gat", g.d_customer, g.d_transaction, layers, 8, 2, seed=2)
+        hidden = data.draw(st.lists(st.sampled_from(
+            [(d, t) for d in gr.DIRECTIONS for t in msg.edges(d).tolist()]),
+            min_size=1, max_size=3, unique=True), label="hidden edges")
+
+        def hops_to(d, t):   # customer -> hops from the edge's customer or transaction
+            dist = {("c", int(msg.edge_endpoints(d)[t])): 0, ("t", t): 0}
+            front, hop = list(dist), 0
+            while front:
+                hop, reached = hop + 1, []
+                for kind, node in front:
+                    if kind == "t":
+                        nbrs = [("c", int(e)) for e in (msg.o_src[node], msg.i_dst[node]) if e >= 0]
+                    else:
+                        nbrs = [("t", u) for u in range(msg.n_transactions)
+                                if node in (msg.o_src[u], msg.i_dst[u])]
+                    reached += [v for v in nbrs if v not in dist]
+                    dist.update((v, hop) for v in nbrs if v not in dist)
+                front = reached
+            return {node: h for (kind, node), h in dist.items() if kind == "c"}
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args[1].tolist(), kwargs["record_customers"].tolist()))
+            return gr.sample_records(*args, **kwargs)
+
+        seen = set()
+        for d, t in hidden:
+            dist = hops_to(d, t)
+            for c in range(n_c):
+                row = (d, c, t, 0)
+                calls.clear()
+                with mock.patch.object(tr, "sample_records", side_effect=spy):
+                    y = tr.predict_pairs(params, msg, [row], cfg)
+                near = dist.get(c, 2 * n_c) <= layers - 1
+                seen.add(near)
+                assert calls == ([([], [c])] if near else [([c], [-1])])
+                assert y[0].tobytes() == severed_forward(params, msg, row, cfg).tobytes()
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("bad", ["sideways", "OUTGOING"])
     def test_unknown_direction_rejected(self, trained, bad):
