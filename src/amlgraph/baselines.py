@@ -3,26 +3,28 @@
 The feed-forward baseline sees only the raw feature triple (source
 customer, destination customer, transaction) with zeros standing in for
 the EXTERNAL side; it measures how much the graph structure itself
-contributes. The unsupervised baseline pretrains the same encoder by
-contrasting true node features against row-shuffled ones, then freezes
-it and fits only a decoder on the supervision edges.
+contributes. The unsupervised baseline (DGI) pretrains the same encoder
+by contrasting true node features against row-shuffled ones, then
+freezes it and fits only a decoder on the supervision edges; its
+held-out rows are scored on the graph model's path, each hiding its edge.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
+from copy import copy, deepcopy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ndtensor as nd
 from .errors import ConfigError
-from .graph import (DIRECTIONS, OUTGOING, BipartiteGraph, EdgeSplit, as_rng,
+from .graph import (DIRECTIONS, BipartiteGraph, EdgeSplit, as_rng, full_fanout,
                     full_subgraph, sample_negatives)
 from .model import ModelParams, _glorot, encode, init_params
 from .ndtensor import (BatchNormState, Tensor, add, batch_norm, bce, concat,
                        dropout, matmul, mean_rows, relu, sigmoid, transpose2d)
-from .training import (AdamState, TrainingConfig, descend, link_loss,
+from .training import (AdamState, TrainingConfig, _check_pairs, _held_out_pairs,
+                       _pair_embeddings, descend, link_loss, predict_pairs,
                        run_epochs, validate_fit_config)
 
 MLP_WIDTHS = (128, 64, 32, 16)
@@ -180,13 +182,11 @@ def mlp_fit(g: BipartiteGraph, split: EdgeSplit, config: MlpConfig
 
 def mlp_eval_scores(params: MlpParams, g: BipartiteGraph,
                     rows: list[tuple[str, int, int, int]]) -> np.ndarray:
-    """Score (direction, customer, txn) rows by substituting the candidate."""
-    src = np.array([c if d == OUTGOING else g.o_src[t] for d, c, t, _ in rows],
-                   dtype=np.int64)
-    dst = np.array([g.i_dst[t] if d == OUTGOING else c for d, c, t, _ in rows],
-                   dtype=np.int64)
-    txn = np.array([t for _, _, t, _ in rows], dtype=np.int64)
-    return mlp_predict(params, triple_features(g, src, dst, txn))
+    """Score (direction, customer, txn) rows by substituting the candidate;
+    rows are checked as `predict_pairs` checks them (`_check_pairs`)."""
+    out, cs, ts = _check_pairs(g, *([r[i] for r in rows] for i in range(3)))
+    return mlp_predict(params, triple_features(g, np.where(out, cs, g.o_src[ts]),
+                                               np.where(out, g.i_dst[ts], cs), ts))
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +255,21 @@ DGI_DECODER_EPOCHS = 100
 def dgi_downstream(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
                    split: EdgeSplit, config: TrainingConfig
                    ) -> tuple[Tensor, list[dict]]:
-    """Fit only the decoder on supervision edges over frozen embeddings."""
+    """Fit only the decoder over frozen embeddings: supervision edges and
+    fresh non-edges read `dgi_embeddings`; the `_held_out_pairs` that
+    validate it are embedded once, as `dgi_eval_scores` embeds them."""
     z_c, z_t = dgi_embeddings(params, msg_g)
     rng = as_rng(np.random.SeedSequence([config.seed, 9]))
     w = Tensor(np.zeros((config.hidden, 1)), requires_grad=True)
     adam = AdamState([w])
-
-    def pair_product(cs, ts):
-        return z_c[cs] * z_t[ts]
-
-    sup = {d: split.supervision[d] for d in DIRECTIONS}
+    sup = split.supervision
     if all(sup[d].size == 0 for d in DIRECTIONS):
         raise ConfigError("no supervision edges in either direction")
-    val_rng = as_rng(np.random.SeedSequence([config.seed, 10]))
-    val_parts = []
-    for d in DIRECTIONS:
-        v = split.validation[d]
-        if v.size == 0:
-            continue
-        neg_c, neg_t = sample_negatives(g, v.size, d, val_rng)
-        val_parts.append((pair_product(g.edge_endpoints(d)[v], v),
-                          pair_product(neg_c, neg_t)))
-    if not val_parts:
+    *pairs, y_val = _held_out_pairs(g, split, [config.seed, 10], 1)
+    if not len(y_val):
         raise ConfigError("no validation edges in either direction")
-    x_val = np.vstack([np.vstack(p) for p in val_parts])
-    y_val = np.concatenate([np.concatenate([np.ones(len(p)), np.zeros(len(n))])
-                            for p, n in val_parts]).reshape(-1, 1)
+    x_val = np.multiply(*_pair_embeddings(params, msg_g, *pairs,
+                                          TrainingConfig(fanout=full_fanout(msg_g))))
 
     def train_epoch(epoch):
         losses = []
@@ -288,16 +277,15 @@ def dgi_downstream(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph
             if sup[d].size == 0:
                 continue
             pos_t = rng.permutation(sup[d])
-            pos = pair_product(g.edge_endpoints(d)[pos_t], pos_t)
+            pos = z_c[g.edge_endpoints(d)[pos_t]] * z_t[pos_t]
             neg_c, neg_t = sample_negatives(g, pos_t.size * config.negatives,
                                             d, rng)
-            neg = pair_product(neg_c, neg_t)
+            neg = z_c[neg_c] * z_t[neg_t]
             losses.append(descend([w], adam, DGI_DECODER_LR, lambda: link_loss(
                 sigmoid(matmul(Tensor(pos), w)),
                 nd.reshape(sigmoid(matmul(Tensor(neg), w)),
                            (pos_t.size, config.negatives)))))
-        val_pred = sigmoid(matmul(Tensor(x_val), Tensor(w.data)))
-        val_loss = float(bce(val_pred, y_val).data)
+        val_loss = float(bce(sigmoid(matmul(Tensor(x_val), Tensor(w.data))), y_val[:, None]).data)
         return {"epoch": epoch, "train_loss": float(np.mean(losses)),
                 "val_loss": val_loss}, val_loss
 
@@ -309,9 +297,10 @@ def dgi_downstream(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph
 
 def dgi_eval_scores(params: ModelParams, w: Tensor, msg_g: BipartiteGraph,
                     rows: list[tuple[str, int, int, int]]) -> np.ndarray:
-    """Score (direction, customer, txn) rows with frozen embeddings."""
-    z_c, z_t = dgi_embeddings(params, msg_g)
-    cs = np.array([c for _, c, _, _ in rows], dtype=np.int64)
-    ts = np.array([t for _, _, t, _ in rows], dtype=np.int64)
-    y = sigmoid(matmul(Tensor(z_c[cs] * z_t[ts]), Tensor(w.data)))
-    return y.data[:, 0]
+    """`predict_pairs` of (direction, customer, txn) rows of `msg_g` with
+    DGI's encoder and decoder `w`, at a cap no row exceeds: a row reads
+    every edge but its own, so one that hides none gets the bits of its
+    `dgi_embeddings` product through `w`."""
+    model = copy(params)
+    model.w_dec = w
+    return predict_pairs(model, msg_g, rows, TrainingConfig(fanout=full_fanout(msg_g)))

@@ -707,12 +707,16 @@ def sample_neighborhood(g: BipartiteGraph, seed_edges, fanout: int,
                                      num_layers, seed, removed_out, removed_in)
 
 
+def full_fanout(g: BipartiteGraph) -> int:
+    """A cap no CSR row of `g` exceeds: a sample at it keeps every edge."""
+    return max(1, int(np.diff(g.out_indptr).max()), int(np.diff(g.in_indptr).max()))
+
+
 def full_subgraph(g: BipartiteGraph, num_layers: int) -> Subgraph:
     """Every node at every level with every edge, for full-batch encoding:
-    the sampler seeded with every node, at a cap no CSR row exceeds."""
-    cap = max(1, int(np.diff(g.out_indptr).max()), int(np.diff(g.in_indptr).max()))
+    the sampler seeded with every node, at `full_fanout`."""
     return sample_neighborhood_nodes(g, np.arange(g.n_customers),
-                                     np.arange(g.n_transactions), cap,
+                                     np.arange(g.n_transactions), full_fanout(g),
                                      num_layers, seed=0)
 
 

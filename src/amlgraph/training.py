@@ -6,12 +6,13 @@ of that, every step severs the predicted direction's real edges for all
 transactions in the batch (negatives included), so a prediction can
 never peek at the edge it is asked to make.
 
-Scoring, validation and evaluation share one path (`_score_rows`), on
-which a (customer, transaction, direction) row hides only its own edge:
-a new transaction is attached by its counterpart edge only, and a
+Scoring, validation and evaluation share one path (`_row_embeddings`),
+on which a (customer, transaction, direction) row hides only its own
+edge: a new transaction is attached by its counterpart edge only, and a
 transaction of the graph loses only its edge in the row's direction.
-The reference graph is never changed. A node's neighbor sample is a pure
-function of (seed, node, relation, surviving edges); each `train_step`
+The reference graph is never changed. Every model's held-out rows come
+from `_held_out_pairs`; the DGI baseline scores them on this path too.
+A node's neighbor sample is a pure function of (seed, node, relation, surviving edges); each `train_step`
 draws one sampler seed from its rng, every other path samples at
 `config.seed`, so no result depends on what else shares the call.
 """
@@ -40,7 +41,7 @@ ADAM_EPS = 1e-8
 # sampled input rows of one scoring encode: about 150 records at 2 layers,
 # which amortizes per-op overhead, and about 1 MB per array at any depth.
 # Also the most records sampled in one call, as each has at least one row;
-# the first call also samples part 0, the graph as it stands.
+# each call also samples one cut of part 0, the graph as it stands.
 _SCORE_CHUNK_ROWS = 1 << 12
 # part 0's customer and transaction seeds per sampler call, at most each:
 # part 0 cannot be cut into chunks, and its rows set an encode's peak memory
@@ -216,36 +217,19 @@ def train_step(params: ModelParams, g: BipartiteGraph, msg_g: BipartiteGraph,
     return descend(params.parameters(), adam, config.learning_rate, loss_fn)
 
 
-def _validation_negatives(g, split, config):
-    rng = as_rng(np.random.SeedSequence([config.seed, 2]))
-    negs = {}
-    for d in DIRECTIONS:
-        n = split.validation[d].size * config.negatives
-        negs[d] = sample_negatives(g, n, d, rng) if n else (np.empty(0, np.int64),) * 2
-    return negs
-
-
-def validation_loss(params: ModelParams, g: BipartiteGraph,
-                    msg_g: BipartiteGraph, split: EdgeSplit,
-                    config: TrainingConfig, val_negs: dict) -> float:
-    """Deterministic held-out loss: each direction's `link_loss` over its
-    validation edges and `val_negs` (scored as `predict_pairs` scores them),
-    weighted by the edge count."""
-    # (direction, customers, transactions): each direction's positives, then negatives
-    blocks = [(d, cs, ts) for d in DIRECTIONS
-              for cs, ts in ((g.edge_endpoints(d)[split.validation[d]], split.validation[d]),
-                             val_negs[d])]
-    y = _score_pairs(params, msg_g, *(np.concatenate([b[i] for b in blocks]) for i in (1, 2)),
-                     [d for d, _, ts in blocks for _ in range(len(ts))], config)
-    ys = np.split(y, np.cumsum([len(ts) for _, _, ts in blocks])[:-1])
-    total, count = 0.0, 0
-    for y_pos, y_neg in zip(ys[::2], ys[1::2]):
-        if len(y_pos):
-            loss = link_loss(Tensor(y_pos[:, None]), Tensor(y_neg.reshape(len(y_pos), -1)))
-            total, count = total + float(loss.data) * len(y_pos), count + len(y_pos)
-    if count == 0:
+def validation_loss(params: ModelParams, msg_g: BipartiteGraph, pairs,
+                    config: TrainingConfig) -> float:
+    """Deterministic held-out loss over `_held_out_pairs` rows `pairs`:
+    each direction's `link_loss` over its validation edges and their
+    negatives (scored by `_score_pairs`), weighted by the edge count."""
+    labels = pairs[3]
+    if not len(labels):
         raise ConfigError("no validation edges in either direction")
-    return total / count
+    y = _score_pairs(params, msg_g, *pairs[:3], config)
+    # each direction's block of positives, then its block of negatives
+    ys = np.split(y, np.flatnonzero(np.diff(labels)) + 1)
+    return sum(float(link_loss(Tensor(pos[:, None]), Tensor(neg.reshape(len(pos), -1))).data)
+               * len(pos) for pos, neg in zip(ys[::2], ys[1::2])) / int(labels.sum())
 
 
 def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
@@ -265,7 +249,7 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
     adam = AdamState(params.parameters())
     msg_g = message_graph(g, split)
     rng = as_rng(np.random.SeedSequence([config.seed, 1]))
-    val_negs = _validation_negatives(g, split, config)
+    val_pairs = _held_out_pairs(g, split, [config.seed, 2], config.negatives)
 
     def train_epoch(epoch):
         chunks = []
@@ -284,7 +268,7 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
                 continue  # batch norm cannot run on a single row
             losses.append(train_step(params, g, msg_g, split, config, d,
                                      adam, rng, batch=batch))
-        val = validation_loss(params, g, msg_g, split, config, val_negs)
+        val = validation_loss(params, msg_g, val_pairs, config)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         return {"epoch": epoch, "train_loss": train_loss, "val_loss": val}, val
 
@@ -295,46 +279,49 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
 # held-out evaluation shared by all models
 
 
-def build_eval_examples(g: BipartiteGraph, split: EdgeSplit, negatives_seed: int
-                        ) -> list[tuple[str, int, int, int]]:
-    """(direction, customer, txn, label) rows from the validation edges.
-
-    Positives are the held-out edges; one uniform non-edge is drawn per
-    positive. The same rows serve every model for a fair comparison.
-    """
-    rng = as_rng(np.random.SeedSequence([negatives_seed, 4]))
-    rows = []
+def _held_out_pairs(g: BipartiteGraph, split: EdgeSplit, seed, per_positive: int):
+    """Held-out (directions, customers, txns, labels) rows, the one pair
+    builder of every model: for each direction with validation edges, its
+    validation edges (label 1), then `per_positive` uniform non-edges per
+    edge (label 0), drawn from `np.random.SeedSequence(seed)`."""
+    rng = as_rng(np.random.SeedSequence(seed))
+    directions, blocks = [], [(np.empty(0, dtype=np.int64),) * 3]
     for d in DIRECTIONS:
         val = split.validation[d]
-        if val.size == 0:
-            continue
-        ends = g.edge_endpoints(d)
-        for t in val:
-            rows.append((d, int(ends[t]), int(t), 1))
-        neg_c, neg_t = sample_negatives(g, val.size, d, rng)
-        rows.extend((d, int(c), int(t), 0) for c, t in zip(neg_c, neg_t))
-    return rows
+        if val.size:
+            neg_c, neg_t = sample_negatives(g, val.size * per_positive, d, rng)
+            directions += [d] * (val.size + neg_t.size)
+            blocks += [(g.edge_endpoints(d)[val], val, np.ones(val.size, dtype=np.int64)),
+                       (neg_c, neg_t, np.zeros(neg_t.size, dtype=np.int64))]
+    return (directions, *(np.concatenate(column) for column in zip(*blocks)))
+
+
+def build_eval_examples(g: BipartiteGraph, split: EdgeSplit, negatives_seed: int
+                        ) -> list[tuple[str, int, int, int]]:
+    """(direction, customer, txn, label) rows of `_held_out_pairs`, one
+    non-edge per validation edge. The same rows serve every model for a
+    fair comparison.
+    """
+    directions, *columns = _held_out_pairs(g, split, [negatives_seed, 4], 1)
+    return list(zip(directions, *(c.tolist() for c in columns)))
 
 
 def predict_pairs(params: ModelParams, msg_g: BipartiteGraph,
                   rows: list[tuple[str, int, int, int]], config: TrainingConfig
                   ) -> np.ndarray:
     """Link likelihood for (direction, customer, txn) rows of `msg_g`,
-    each hiding only its own edge (`_score_rows`)."""
-    return _score_pairs(params, msg_g, [r[1] for r in rows], [r[2] for r in rows],
-                        [r[0] for r in rows], config)
+    each hiding only its own edge (`_score_pairs`)."""
+    return _score_pairs(params, msg_g, *([r[i] for r in rows] for i in range(3)), config)
 
 
 def evaluate_split(params: ModelParams, g: BipartiteGraph, split: EdgeSplit,
                    config: TrainingConfig) -> dict:
-    """Held-out AUC/AP on validation edges vs sampled non-edges."""
-    rows = build_eval_examples(g, split, config.seed)
-    msg_g = message_graph(g, split)
-    scores = predict_pairs(params, msg_g, rows, config)
-    labels = np.array([r[3] for r in rows])
+    """Held-out AUC/AP on the `build_eval_examples` rows."""
+    *pairs, labels = _held_out_pairs(g, split, [config.seed, 4], 1)
+    scores = _score_pairs(params, message_graph(g, split), *pairs, config)
     return {"roc_auc": roc_auc(scores, labels),
             "average_precision": average_precision(scores, labels),
-            "examples": len(rows)}
+            "examples": len(labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +338,11 @@ class AnomalyResult:
     cold_start: bool
 
 
-def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
-                directions, counterparts, hides, near, config: TrainingConfig,
-                x_new: np.ndarray | None = None) -> np.ndarray:
-    """Link likelihood of each row (customer, transaction, direction).
+def _row_embeddings(params: ModelParams, g: BipartiteGraph, customers, txns,
+                    directions, counterparts, hides, near, config: TrainingConfig,
+                    x_new: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (customer, transaction) embeddings, which `decode` makes
+    its link likelihood, for rows (customer, transaction, direction).
 
     A row hides only its own edge: its transaction reads `g` holding only
     its counterpart edge (to counterparts[i], -1 for none), and its
@@ -365,7 +353,8 @@ def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
     customer where near[i] (hides[i], and the customer's embedding may
     read the hidden edge); all else reads part 0, `g` as it stands. Each
     chunk of whole parts is encoded once; products are row-exact, so each
-    row's score is bit-identical to scoring it alone, in any batch or order.
+    row's embeddings, and so its score, are bit-identical to those of the
+    row alone, in any batch or order.
     """
     own = (txns >= g.n_transactions) | hides   # rows sampled as their own part
     on_c, on_t = ~near, ~own   # rows reading part 0's customer, transaction
@@ -395,33 +384,48 @@ def _score_rows(params: ModelParams, g: BipartiteGraph, customers, txns,
             z_c[rows[near[rows]]] = zc
     z_c[on_c] = z0_c[seeds_c.searchsorted(customers[on_c])]
     z_t[on_t] = z0_t[seeds_t.searchsorted(txns[on_t])]
+    return z_c, z_t
+
+
+def _check_pairs(g: BipartiteGraph, directions, customers, txns):
+    """The row check of every pair scorer: (whether each row is OUTGOING,
+    customers, txns as int arrays); an unknown direction, or an index
+    outside `g`, raises ConfigError."""
+    for d in set(directions):
+        check_direction(d)
+    return (np.array([d == OUTGOING for d in directions], dtype=bool),
+            _seed_ids(customers, g.n_customers, "customer"),
+            _seed_ids(txns, g.n_transactions, "transaction"))
+
+
+def _score_pairs(params: ModelParams, msg_g: BipartiteGraph, directions, customers,
+                 txns, config: TrainingConfig) -> np.ndarray:
+    """Link likelihood of (direction, customer, transaction) rows of
+    `msg_g`, each hiding only its own edge (`_pair_embeddings`)."""
+    z_c, z_t = _pair_embeddings(params, msg_g, directions, customers, txns, config)
     return decode(params.w_dec, Tensor(z_c), Tensor(z_t)).data[:, 0]
 
 
-def _score_pairs(params: ModelParams, msg_g: BipartiteGraph, customers, txns,
-                 directions, config: TrainingConfig) -> np.ndarray:
-    """`_score_rows` of (customer, transaction, direction) rows of `msg_g`,
-    each counterpart the transaction's other end in `msg_g`. An unknown
-    direction, or an index outside `msg_g`, raises ConfigError.
+def _pair_embeddings(params: ModelParams, msg_g: BipartiteGraph, directions, customers,
+                     txns, config: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`_row_embeddings` of (direction, customer, transaction) rows of
+    `msg_g`, each counterpart the transaction's other end in `msg_g`.
+    Rows are checked by `_check_pairs`.
 
     A row's hidden edge changes the layer-h embedding of a node only if the
     node lies within h - 1 hops of the edge's ends, and a sample is a pure
     function of the node, so a customer farther than L - 1 hops, in
     `msg_g`, reads part 0 with the same bits (at 2 layers: a customer other
     than the transaction's two ends)."""
-    for d in set(directions):
-        check_direction(d)
-    customers = _seed_ids(customers, msg_g.n_customers, "customer")
-    txns = _seed_ids(txns, msg_g.n_transactions, "transaction")
-    outgoing = np.array([d == OUTGOING for d in directions], dtype=bool)
+    outgoing, customers, txns = _check_pairs(msg_g, directions, customers, txns)
     counterparts = np.where(outgoing, msg_g.i_dst[txns], msg_g.o_src[txns])
     ends = np.where(outgoing, msg_g.o_src[txns], msg_g.i_dst[txns])
     hides = ends >= 0
     near = np.zeros(len(txns), dtype=bool)
     at = hides.nonzero()[0]
     near[at] = _within_hops(msg_g, ends[at], txns[at], customers[at], params.num_layers - 1)
-    return _score_rows(params, msg_g, customers, txns, directions, counterparts, hides,
-                       near, config)
+    return _row_embeddings(params, msg_g, customers, txns, directions, counterparts,
+                           hides, near, config)
 
 
 def _within_hops(g: BipartiteGraph, ends, txns, customers, hops: int) -> np.ndarray:
@@ -452,7 +456,7 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
                        config: TrainingConfig) -> list[AnomalyResult]:
     """Anomaly-score each direction of each new transaction.
 
-    Each record is scored alone (`_score_rows`): it sees the reference
+    Each record is scored alone (`_row_embeddings`): it sees the reference
     graph `g`, unchanged, plus its transaction attached by its counterpart
     (non-predicted) edge only. A transaction `build_graph` would refuse,
     or whose id is in `g` or repeated, raises IngestError
@@ -465,9 +469,10 @@ def score_transactions(params: ModelParams, g: BipartiteGraph,
     warm = ~cold[k, side]
     y_hat = np.full(len(k), np.nan)
     none = np.zeros(warm.sum(), dtype=bool)   # a new transaction hides no edge
-    y_hat[warm] = _score_rows(params, g, ends[k, side][warm], g.n_transactions + k[warm],
-                              [DIRECTIONS[s] for s in side[warm]], ends[k, 1 - side][warm],
-                              none, none, config, x_new)
+    z_c, z_t = _row_embeddings(params, g, ends[k, side][warm], g.n_transactions + k[warm],
+                               [DIRECTIONS[s] for s in side[warm]], ends[k, 1 - side][warm],
+                               none, none, config, x_new)
+    y_hat[warm] = decode(params.w_dec, Tensor(z_c), Tensor(z_t)).data[:, 0]
     if not np.isfinite(y_hat[warm]).all():
         raise NumericalError("a score is not finite: the model, graph or "
                              "transactions hold values too large to encode")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amlgraph.baselines as bl
 import amlgraph.graph as gr
@@ -273,6 +275,93 @@ class TestDgi:
         assert ha == hb
         for ta, tb in zip(pa.parameters(), pb.parameters()):
             assert np.array_equal(ta.data, tb.data)
+
+
+def without_edge(g, direction, t):
+    """`g` rebuilt with transaction t's edge in `direction` gone."""
+    o_src, i_dst = g.o_src.copy(), g.i_dst.copy()
+    (o_src if direction == gr.OUTGOING else i_dst)[t] = -1
+    return gr.BipartiteGraph(g.customer_ids, g.txn_ids, g.x_c, g.x_t, o_src, i_dst,
+                             g.timestamps, g.stats)
+
+
+def frozen_product(params, w, g, rows):
+    """Each row's `dgi_embeddings` product of `g` through `w`."""
+    z_c, z_t = bl.dgi_embeddings(params, g)
+    cs, ts = (np.array([r[i] for r in rows], dtype=np.int64) for i in (1, 2))
+    return nd.sigmoid(nd.matmul(Tensor(z_c[cs] * z_t[ts]), Tensor(w.data))).data[:, 0]
+
+
+class TestDgiSharedPath:
+    """DGI's held-out rows are scored on the graph model's path: a row
+    reads every message edge but its own."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_hide_only_their_own_edge(self, data):
+        layers = data.draw(st.integers(1, 3), label="layers")
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="graph"))
+        n_c = 8
+        profiles = [gr.CustomerProfile(f"c{i}", rng.normal(size=3)) for i in range(n_c)]
+
+        def side():   # customer 0 is a hub; about one side in seven is EXTERNAL
+            if rng.random() < 0.15:
+                return gr.EXTERNAL
+            return f"c{0 if rng.random() < 0.4 else rng.integers(n_c)}"
+
+        txns = []
+        for j in range(50):
+            src, dst = side(), side()
+            txns.append(gr.RawTransaction(f"t{j:03d}", src, "c1" if src == dst == gr.EXTERNAL
+                                          else dst, float(j), rng.normal(size=2)))
+        g = gr.build_graph(txns, profiles)
+        split = gr.split_edges(g, (0.5, 0.3, 0.2), seed=1)
+        msg = tr.message_graph(g, split)
+        params = init_params("gat", g.d_customer, g.d_transaction, layers, 8, 2, seed=layers)
+        w = Tensor(rng.normal(size=(8, 1)))
+        rows = tr.build_eval_examples(g, split, data.draw(st.integers(0, 99), label="seed"))
+        rows += [(d, int(msg.edge_endpoints(d)[t]), int(t), 1) for d in gr.DIRECTIONS
+                 for t in split.message[d][:5]]
+        hides = np.array([msg.edge_endpoints(d)[t] >= 0 for d, _, t, _ in rows])
+        assert hides.any() and not hides.all()
+        y = bl.dgi_eval_scores(params, w, msg, rows)
+        assert y[~hides].tobytes() == frozen_product(
+            params, w, msg, [r for r, h in zip(rows, hides) if not h]).tobytes()
+        for row, y_row in zip([r for r, h in zip(rows, hides) if h], y[hides]):
+            rebuilt = without_edge(msg, row[0], row[2])
+            assert y_row.tobytes() == frozen_product(params, w, rebuilt, [row]).tobytes()
+
+
+class TestPairScorersRefuseBadRows:
+    """Every pair scorer refuses the same malformed rows with ConfigError."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        g = community_graph(external_every=5)
+        split = gr.split_edges(g, (0.5, 0.3, 0.2), seed=3)
+        msg = tr.message_graph(g, split)
+        cfg = small_tc()
+        params = init_params("gat", g.d_customer, g.d_transaction, 2, 8, 2, seed=0)
+        mlp = bl.MlpParams(2 * g.d_customer + g.d_transaction, (4,), seed=0)
+        return msg, {
+            "gat": lambda rows: tr.predict_pairs(params, msg, rows, cfg),
+            "mlp": lambda rows: bl.mlp_eval_scores(mlp, msg, rows),
+            "dgi": lambda rows: bl.dgi_eval_scores(params, Tensor(np.ones((8, 1))), msg, rows)}
+
+    @pytest.mark.parametrize("scorer", ["gat", "mlp", "dgi"])
+    @pytest.mark.parametrize("bad,match", [
+        (("sideways", 0, 0), "direction"), (("OUTGOING", 0, 0), "direction"),
+        ((gr.OUTGOING, -1, 0), "customer index"), ((gr.INCOMING, "n_c", 0), "customer index"),
+        ((gr.OUTGOING, 0, -1), "transaction index"),
+        ((gr.INCOMING, 0, "n_t"), "transaction index")])
+    def test_bad_row_rejected(self, models, scorer, bad, match):
+        msg, score = models
+        n = {"n_c": msg.n_customers, "n_t": msg.n_transactions}
+        d, c, t = (n.get(v, v) for v in bad)
+        good = (gr.OUTGOING, 0, int(msg.edges(gr.OUTGOING)[0]), 1)
+        assert np.isfinite(score[scorer]([good])).all()
+        with pytest.raises(ConfigError, match=match):
+            score[scorer]([good, (d, c, t, 1)])
 
 
 class TestMlpConfigValidation:

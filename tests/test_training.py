@@ -284,8 +284,8 @@ class TestFit:
         assert [row["epoch"] for row in history] == list(range(len(history)))
         assert all(np.isfinite(row["val_loss"]) for row in history)
         msg = tr.message_graph(g, split)
-        negs = tr._validation_negatives(g, split, cfg)
-        best = tr.validation_loss(params, g, msg, split, cfg, negs)
+        pairs = tr._held_out_pairs(g, split, [cfg.seed, 2], cfg.negatives)
+        best = tr.validation_loss(params, msg, pairs, cfg)
         assert best == min(row["val_loss"] for row in history)
 
     def test_patience_zero_stops_at_first_regression(self):
@@ -327,6 +327,111 @@ class TestFit:
         split = gr.split_edges(g, (0.7, 0.3, 0.0), seed=2)
         with pytest.raises(ConfigError):
             tr.fit(g, split, small_config())
+
+
+def old_build_eval_examples(g, split, negatives_seed):
+    """The per-row loop `build_eval_examples` was: the reference of the
+    one pair builder's evaluation rows."""
+    rng = gr.as_rng(np.random.SeedSequence([negatives_seed, 4]))
+    rows = []
+    for d in gr.DIRECTIONS:
+        val = split.validation[d]
+        if val.size == 0:
+            continue
+        ends = g.edge_endpoints(d)
+        for t in val:
+            rows.append((d, int(ends[t]), int(t), 1))
+        neg_c, neg_t = gr.sample_negatives(g, val.size, d, rng)
+        rows.extend((d, int(c), int(t), 0) for c, t in zip(neg_c, neg_t))
+    return rows
+
+
+def old_validation_negatives(g, split, config):
+    """The draws `fit`'s validation negatives were: the reference of the
+    one pair builder's validation rows."""
+    rng = gr.as_rng(np.random.SeedSequence([config.seed, 2]))
+    negs = {}
+    for d in gr.DIRECTIONS:
+        n = split.validation[d].size * config.negatives
+        negs[d] = gr.sample_negatives(g, n, d, rng) if n else (np.empty(0, np.int64),) * 2
+    return negs
+
+
+def old_validation_loss(params, g, msg_g, split, config, val_negs):
+    """`validation_loss` as it was over `old_validation_negatives`."""
+    blocks = [(d, cs, ts) for d in gr.DIRECTIONS
+              for cs, ts in ((g.edge_endpoints(d)[split.validation[d]], split.validation[d]),
+                             val_negs[d])]
+    y = tr._score_pairs(params, msg_g, [d for d, _, ts in blocks for _ in range(len(ts))],
+                        *(np.concatenate([b[i] for b in blocks]) for i in (1, 2)), config)
+    ys = np.split(y, np.cumsum([len(ts) for _, _, ts in blocks])[:-1])
+    total, count = 0.0, 0
+    for y_pos, y_neg in zip(ys[::2], ys[1::2]):
+        if len(y_pos):
+            loss = tr.link_loss(Tensor(y_pos[:, None]), Tensor(y_neg.reshape(len(y_pos), -1)))
+            total, count = total + float(loss.data) * len(y_pos), count + len(y_pos)
+    return total / count
+
+
+def random_split(data, n_c=10, n_t=60):
+    """A small random graph and split; where `one_way`, every destination
+    is EXTERNAL, so the incoming direction has no validation edge."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="graph"))
+    one_way = data.draw(st.booleans(), label="one way")
+    profiles = [gr.CustomerProfile(f"c{i}", rng.normal(size=3)) for i in range(n_c)]
+    txns = [gr.RawTransaction(f"t{j:03d}", f"c{rng.integers(n_c)}",
+                              gr.EXTERNAL if one_way or rng.random() < 0.15
+                              else f"c{rng.integers(n_c)}", float(j), rng.normal(size=2))
+            for j in range(n_t)]
+    g = gr.build_graph(txns, profiles)
+    val = data.draw(st.sampled_from([0.1, 0.2, 0.4]), label="validation share")
+    split = gr.split_edges(g, (0.9 - val, 0.1, val),
+                           seed=data.draw(st.integers(0, 2 ** 32), label="split"))
+    assert not one_way or split.validation[gr.INCOMING].size == 0
+    return g, split
+
+
+class TestHeldOutPairs:
+    """`_held_out_pairs` is the one pair builder: it gives the rows and
+    draws of the loops it replaced, bitwise, and so `fit` the same
+    validation losses."""
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_reference_loops(self, data):
+        g, split = random_split(data)
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        negatives = data.draw(st.integers(1, 3), label="negatives")
+        assert tr.build_eval_examples(g, split, seed) == old_build_eval_examples(g, split, seed)
+        directions, cs, ts, labels = tr._held_out_pairs(g, split, [seed, 2], negatives)
+        assert cs.dtype == ts.dtype == labels.dtype == np.int64
+        negs = old_validation_negatives(g, split, small_config(seed=seed, negatives=negatives))
+        expect = []
+        for d in gr.DIRECTIONS:
+            val = split.validation[d]
+            expect += [(d, int(c), int(t), 1) for c, t in zip(g.edge_endpoints(d)[val], val)]
+            expect += [(d, int(c), int(t), 0) for c, t in zip(*negs[d])]
+        assert list(zip(directions, cs.tolist(), ts.tolist(), labels.tolist())) == expect
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_fit_validation_losses_match_reference(self, data):
+        g, split = random_split(data)
+        cfg = small_config(max_epochs=2, batch_size=8,
+                           negatives=data.draw(st.integers(1, 3), label="negatives"),
+                           seed=data.draw(st.integers(0, 2 ** 32), label="seed"))
+        seen = []
+        real = tr.validation_loss
+
+        def spy(params, msg_g, pairs, config):
+            seen.append((real(params, msg_g, pairs, config), old_validation_loss(
+                params, g, msg_g, split, config, old_validation_negatives(g, split, config))))
+            return seen[-1][0]
+
+        with mock.patch.object(tr, "validation_loss", side_effect=spy):
+            _, history = tr.fit(g, split, cfg)
+        assert [row["val_loss"] for row in history] == [new for new, _ in seen]
+        assert [new.hex() for new, _ in seen] == [old.hex() for _, old in seen]
 
 
 class TestEvaluateSplit:
@@ -396,13 +501,10 @@ class TestPredictPairs:
                            seed=data.draw(st.integers(0, 2 ** 63), label="seed"))
         assert np.diff(msg.out_indptr).max() > cfg.fanout   # the cap truncates
         params = init_params("gat", g.d_customer, g.d_transaction, layers, 8, 2, seed=2)
-        negs = tr._validation_negatives(g, split, cfg)
         # validation edges and negatives, as `validation_loss` scores them,
         # and message edges scored with their own edge hidden
-        rows = [(d, int(c), int(t), 1) for d in gr.DIRECTIONS
-                for c, t in zip(g.edge_endpoints(d)[split.validation[d]],
-                                split.validation[d])]
-        rows += [(d, int(c), int(t), 0) for d in gr.DIRECTIONS for c, t in zip(*negs[d])]
+        directions, *columns = tr._held_out_pairs(g, split, [cfg.seed, 2], cfg.negatives)
+        rows = list(zip(directions, *(c.tolist() for c in columns)))
         rows += [(d, int(msg.edge_endpoints(d)[t]), int(t), 1) for d in gr.DIRECTIONS
                  for t in split.message[d][:4]]
         alone = [tr.predict_pairs(params, msg, [row], cfg)[0] for row in rows]
