@@ -81,14 +81,30 @@ class TxnLabel:
     dst_community: int   # -1 when the side is EXTERNAL
 
 
-def _pick_other(rng, members: np.ndarray, exclude: int,
-                weights: np.ndarray) -> int:
-    """Activity-proportional member of `members` that is not `exclude`."""
+def _choice_cdf(members: np.ndarray, exclude: int, weights: np.ndarray):
+    """(pool, cdf) of `_pick_other`: `members` less `exclude`, and the CDF
+    that `Generator.choice(pool.size, p=w / w.sum())` builds over their
+    weights w. The cdf is None when `exclude` is the only member."""
     pool = members[members != exclude]
     if pool.size == 0:
-        return int(members[0])
+        return members[:1], None
     w = weights[pool]
-    return int(pool[rng.choice(pool.size, p=w / w.sum())])
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return pool, cdf
+
+
+def _pick_other(rng, pool: np.ndarray, cdf: np.ndarray | None) -> int:
+    """Activity-proportional member of a `_choice_cdf` pool.
+
+    The draw-order contract: it takes one `rng.random()`, the one draw
+    `rng.choice(pool.size, p=w / w.sum())` takes, and picks the member
+    `choice` picks from it, so every later draw of `generate` is the same
+    as with `choice`. It draws nothing when cdf is None.
+    """
+    if cdf is None:
+        return int(pool[0])
+    return int(pool[cdf.searchsorted(rng.random(), side="right")])
 
 
 def assign_structure(config: SyntheticConfig
@@ -134,67 +150,71 @@ def generate(config: SyntheticConfig
     src_all = rng.choice(n, size=config.n_transactions,
                          p=activity / activity.sum())
 
-    transactions: list[RawTransaction] = []
-    labels: list[TxnLabel] = []
+    # Only the RNG calls stay in the loop, in their order: ids, features,
+    # labels and aggregates are built from its arrays afterwards.
+    n_t = config.n_transactions
+    anomalous = kinds < config.anomaly_rate
+    external = ~anomalous & (kinds < config.anomaly_rate + config.external_rate)
+    in_community = config.in_ring_rate + config.in_community_rate
+    anomaly_mean = float(mu_amount.mean()) + 3.5
+    everyone = np.arange(n)
+    ring_cdfs = {}   # each customer's ring pool and CDF, by customer
+    dst_all = np.empty(n_t, dtype=np.int64)
+    log_amount = np.empty(n_t)
+    hour = np.empty(n_t)
+    features = np.empty((n_t, config.d_transaction))
+    external_src = np.zeros(n_t, dtype=bool)   # else the dest side is EXTERNAL
     noise_dims = config.d_transaction - 3
-    for j in range(config.n_transactions):
-        src = int(src_all[j])
-        com = int(community[src])
-        anomalous = kinds[j] < config.anomaly_rate
-        external = (not anomalous
-                    and kinds[j] < config.anomaly_rate + config.external_rate)
-        if anomalous:
+    for j, (src, com, anom, ext) in enumerate(zip(
+            src_all.tolist(), community[src_all].tolist(), anomalous.tolist(),
+            external.tolist())):
+        if anom:
             other_com = int((com + 1 + rng.integers(k - 1)) % k)
-            dst = _pick_other(rng, by_community[other_com], src, activity)
-            log_amount = rng.normal(float(mu_amount.mean()) + 3.5, 0.5)
-            hour = rng.uniform(0.0, 24.0)
+            dst_all[j] = _pick_other(rng, *_choice_cdf(by_community[other_com], src,
+                                                       activity))
+            log_amount[j] = rng.normal(anomaly_mean, 0.5)
+            hour[j] = rng.uniform(0.0, 24.0)
         else:
             u = rng.uniform()
             ring = rings[ring_of[src]]
             if u < config.in_ring_rate and ring.size > 1:
-                dst = _pick_other(rng, ring, src, activity)
-            elif u < config.in_ring_rate + config.in_community_rate:
-                dst = _pick_other(rng, by_community[com], src, activity)
+                if src not in ring_cdfs:
+                    ring_cdfs[src] = _choice_cdf(ring, src, activity)
+                dst_all[j] = _pick_other(rng, *ring_cdfs[src])
+            elif u < in_community:
+                dst_all[j] = _pick_other(rng, *_choice_cdf(by_community[com], src, activity))
             else:
-                dst = _pick_other(rng, np.arange(n), src, activity)
-            log_amount = rng.normal(mu_amount[com], 0.5)
-            hour = rng.normal(peak_hour[com], 2.0) % 24.0
-        features = np.empty(config.d_transaction)
-        features[0] = np.exp(log_amount)
-        features[1] = np.sin(2.0 * np.pi * hour / 24.0)
-        features[2] = np.cos(2.0 * np.pi * hour / 24.0)
+                dst_all[j] = _pick_other(rng, *_choice_cdf(everyone, src, activity))
+            log_amount[j] = rng.normal(mu_amount[com], 0.5)
+            hour[j] = rng.normal(peak_hour[com], 2.0) % 24.0
         if noise_dims:
-            features[3:] = rng.normal(size=noise_dims)
+            features[j, 3:] = rng.normal(size=noise_dims)
+        if ext:
+            external_src[j] = rng.uniform() < 0.5
 
-        src_id, dst_id = f"c{src:06d}", f"c{dst:06d}"
-        src_com, dst_com = com, int(community[dst])
-        if external:
-            if rng.uniform() < 0.5:
-                src_id, src_com = EXTERNAL, -1
-            else:
-                dst_id, dst_com = EXTERNAL, -1
-        transactions.append(RawTransaction(f"t{j:07d}", src_id, dst_id,
-                                           float(timestamps[j]), features))
-        labels.append(TxnLabel(f"t{j:07d}", bool(anomalous), src_com, dst_com))
+    features[:, 0] = np.exp(log_amount)
+    features[:, 1] = np.sin(2.0 * np.pi * hour / 24.0)
+    features[:, 2] = np.cos(2.0 * np.pi * hour / 24.0)
+    src_ext, dst_ext = external & external_src, external & ~external_src
+    names = np.array([f"c{i:06d}" for i in range(n)] + [EXTERNAL], dtype=object)
+    txn_ids = [f"t{j:07d}" for j in range(n_t)]
+    transactions = [RawTransaction(*record) for record in zip(
+        txn_ids, names[np.where(src_ext, n, src_all)].tolist(),
+        names[np.where(dst_ext, n, dst_all)].tolist(), timestamps.tolist(), features)]
+    labels = [TxnLabel(*label) for label in zip(
+        txn_ids, anomalous.tolist(), np.where(src_ext, -1, community[src_all]).tolist(),
+        np.where(dst_ext, -1, community[dst_all]).tolist())]
 
-    # warm-up aggregates: early-window activity folded into the profile
-    warmup_end = config.warmup_fraction * config.time_span
-    agg = np.zeros((n, AGGREGATE_DIMS))
-    for txn in transactions:
-        if txn.timestamp >= warmup_end:
-            continue
-        amount = float(txn.features[0])
-        if txn.source_customer != EXTERNAL:
-            i = int(txn.source_customer[1:])
-            agg[i, 0] += 1.0
-            agg[i, 2] += amount
-        if txn.dest_customer != EXTERNAL:
-            i = int(txn.dest_customer[1:])
-            agg[i, 1] += 1.0
-            agg[i, 3] += amount
-    profiles = [CustomerProfile(
-        f"c{i:06d}", np.concatenate([base_profiles[i], np.log1p(agg[i])]))
-        for i in range(n)]
+    # warm-up aggregates: early-window activity folded into the profile;
+    # bincount adds in transaction order
+    warm = timestamps < config.warmup_fraction * config.time_span
+    src_warm, dst_warm = warm & ~src_ext, warm & ~dst_ext
+    agg = np.column_stack([
+        np.bincount(src_all[src_warm], minlength=n), np.bincount(dst_all[dst_warm], minlength=n),
+        np.bincount(src_all[src_warm], weights=features[src_warm, 0], minlength=n),
+        np.bincount(dst_all[dst_warm], weights=features[dst_warm, 0], minlength=n)])
+    rows = np.hstack([base_profiles, np.log1p(agg)])
+    profiles = [CustomerProfile(cid, row) for cid, row in zip(names[:n].tolist(), rows)]
     return profiles, transactions, labels
 
 

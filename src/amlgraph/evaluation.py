@@ -41,8 +41,7 @@ def roc_auc(scores, labels) -> float:
     boundaries = np.flatnonzero(np.diff(sorted_scores)) + 1
     starts = np.concatenate([[0], boundaries])
     stops = np.concatenate([boundaries, [scores.size]])
-    for a, b in zip(starts, stops):
-        ranks[order[a:b]] = (a + b + 1) / 2.0
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
@@ -56,10 +55,8 @@ def average_precision(scores, labels) -> float:
     hits = labels[order]
     cum = np.cumsum(hits)
     precision = cum / np.arange(1, hits.size + 1)
-    # sequential sum: bitwise-equal to rank-by-rank enumeration
-    total = 0.0
-    for p in precision[hits == 1]:
-        total += float(p)
+    # cumsum adds in order: bitwise-equal to rank-by-rank enumeration
+    total = np.cumsum(precision[hits == 1])[-1]
     return float(total / cum[-1])
 
 

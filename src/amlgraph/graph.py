@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
@@ -164,15 +165,57 @@ def _feature_row(kind: str, rid: str, features, width: int) -> np.ndarray:
 
 
 def _transaction_row(t: RawTransaction, width: int) -> np.ndarray:
-    """The record check of every transaction, built or scored: its
-    features as a float row (see `_feature_row`), refused unless its
-    timestamp is finite and one side at least is not EXTERNAL."""
+    """The record check of every transaction, built or scored, for one
+    record: its features as a float row (see `_feature_row`), refused
+    unless its timestamp is finite and one side at least is not EXTERNAL.
+    `build_graph` and `resolve_transactions` make this check as one array
+    check over all their records (`_transaction_block`), and run it record
+    by record only to name the first record that fails."""
     f = _feature_row("transaction", t.txn_id, t.features, width)
     if not np.isfinite(float(t.timestamp)):
         raise IngestError(f"transaction {t.txn_id!r} has a non-finite timestamp")
     if t.source_customer == EXTERNAL and t.dest_customer == EXTERNAL:
         raise IngestError(f"transaction {t.txn_id!r} has no known endpoint")
     return f
+
+
+def _rows(rows: list, width: int) -> np.ndarray | None:
+    """`rows` as one (len(rows), width) float array when each row is
+    `width` finite values, as `_feature_row` requires; else None."""
+    try:
+        x = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if x.shape == (len(rows), width) and np.isfinite(x).all() else None
+
+
+def _transaction_block(transactions: Sequence[RawTransaction], width: int,
+                       index: dict[str, int], present: dict | None = None):
+    """(raw features, timestamps, sides) of `transactions` when every
+    record passes `_transaction_row`, from one array check; else None, and
+    the caller's record loop names the first record that fails. With
+    `present` (ids a record may not take), a record whose id is in it or
+    repeated fails too. No records give None, as a loop over them is free.
+
+    timestamps is a list of floats; sides[k] holds the (source, dest)
+    customer indices of record k in `index`, -1 for EXTERNAL and -2 for a
+    customer `index` lacks.
+    """
+    raw = _rows([t.features for t in transactions], width)
+    try:
+        timestamps = [float(t.timestamp) for t in transactions]
+        sides = [(index.get(t.source_customer, -1 if t.source_customer == EXTERNAL else -2),
+                  index.get(t.dest_customer, -1 if t.dest_customer == EXTERNAL else -2))
+                 for t in transactions]
+        if present is not None:
+            tids = [t.txn_id for t in transactions]
+            if len(set(tids)) < len(tids) or not present.keys().isdisjoint(tids):
+                return None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if raw is None or not all(map(math.isfinite, timestamps)) or (-1, -1) in sides:
+        return None
+    return raw, timestamps, np.array(sides, dtype=np.int64)
 
 
 def build_graph(transactions: Sequence[RawTransaction],
@@ -188,9 +231,10 @@ def build_graph(transactions: Sequence[RawTransaction],
     if EXTERNAL in set(ids):
         raise IngestError(f"{EXTERNAL!r} is reserved and cannot be a customer id")
     d_c = len(profiles[0].features)
-    raw_c = np.zeros((len(profiles), d_c))
-    for i, p in enumerate(profiles):
-        raw_c[i] = _feature_row("customer", p.customer_id, p.features, d_c)
+    raw_c = _rows([p.features for p in profiles], d_c)
+    if raw_c is None:   # name the first profile that fails
+        raw_c = np.array([_feature_row("customer", p.customer_id, p.features, d_c)
+                          for p in profiles])
 
     transactions = sorted(transactions, key=lambda t: t.txn_id)
     tids = [t.txn_id for t in transactions]
@@ -198,22 +242,29 @@ def build_graph(transactions: Sequence[RawTransaction],
         if a == b:
             raise IngestError(f"duplicate transaction id {a!r}")
     index = {cid: i for i, cid in enumerate(ids)}
-    n_t = len(transactions)
     d_t = len(transactions[0].features) if transactions else 0
-    raw_t = np.zeros((n_t, d_t))
-    o_src = np.full(n_t, -1, dtype=np.int64)
-    i_dst = np.full(n_t, -1, dtype=np.int64)
-    timestamps = np.zeros(n_t)
-    for j, t in enumerate(transactions):
-        raw_t[j] = _transaction_row(t, d_t)
-        timestamps[j] = float(t.timestamp)
-        for side, cid, arr in (("source", t.source_customer, o_src),
-                               ("dest", t.dest_customer, i_dst)):
-            if cid == EXTERNAL:
-                continue
-            if cid not in index:
-                raise IngestError(f"transaction {t.txn_id!r} {side} references unknown customer {cid!r}")
-            arr[j] = index[cid]
+    block = _transaction_block(transactions, d_t, index)
+    if block is not None and (block[2] >= -1).all():
+        raw_t, timestamps, sides = block
+        timestamps = np.array(timestamps)
+        o_src, i_dst = sides.T.copy()
+    else:   # name the first transaction that fails, in id order
+        n_t = len(transactions)
+        raw_t = np.zeros((n_t, d_t))
+        o_src = np.full(n_t, -1, dtype=np.int64)
+        i_dst = np.full(n_t, -1, dtype=np.int64)
+        timestamps = np.zeros(n_t)
+        for j, t in enumerate(transactions):
+            raw_t[j] = _transaction_row(t, d_t)
+            timestamps[j] = float(t.timestamp)
+            for side, cid, arr in (("source", t.source_customer, o_src),
+                                   ("dest", t.dest_customer, i_dst)):
+                if cid == EXTERNAL:
+                    continue
+                if cid not in index:
+                    raise IngestError(f"transaction {t.txn_id!r} {side} references "
+                                      f"unknown customer {cid!r}")
+                arr[j] = index[cid]
 
     x_c, c_mean, c_std = _standardize(raw_c)
     x_t, t_mean, t_std = _standardize(raw_t)
@@ -233,6 +284,12 @@ def resolve_transactions(g: BipartiteGraph, transactions: Sequence[RawTransactio
     `build_graph`'s record check, and an id already in the graph or
     repeated raises IngestError.
     """
+    block = _transaction_block(transactions, g.d_transaction, g.customer_index,
+                               g.txn_index)
+    if block is not None:
+        raw, _, sides = block
+        return g.standardize_transaction_features(raw), np.maximum(sides, -1), sides == -2
+    # name the first transaction that fails, in order
     seen = set()
     raw = np.zeros((len(transactions), g.d_transaction))
     ends = np.full((len(transactions), 2), -1, dtype=np.int64)

@@ -12,9 +12,10 @@ edge: a new transaction is attached by its counterpart edge only, and a
 transaction of the graph loses only its edge in the row's direction.
 The reference graph is never changed. Every model's held-out rows come
 from `_held_out_pairs`; the DGI baseline scores them on this path too.
-A node's neighbor sample is a pure function of (seed, node, relation, surviving edges); each `train_step`
-draws one sampler seed from its rng, every other path samples at
-`config.seed`, so no result depends on what else shares the call.
+A node's neighbor sample is a pure function of (seed, node, relation,
+surviving edges); each `train_step` draws one sampler seed from its rng,
+every other path samples at `config.seed`, so no result depends on what
+else shares the call.
 """
 
 from __future__ import annotations
@@ -250,6 +251,8 @@ def fit(g: BipartiteGraph, split: EdgeSplit, config: TrainingConfig
     msg_g = message_graph(g, split)
     rng = as_rng(np.random.SeedSequence([config.seed, 1]))
     val_pairs = _held_out_pairs(g, split, [config.seed, 2], config.negatives)
+    if not len(val_pairs[3]):   # refused before training, not after its first epoch
+        raise ConfigError("no validation edges in either direction")
 
     def train_epoch(epoch):
         chunks = []

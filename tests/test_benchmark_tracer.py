@@ -3,7 +3,8 @@
 The tracer wraps package functions by name and reads their arguments by
 name, so renaming or deleting one breaks `perfbench/run.py --trace 1`,
 whose own tests are outside this suite. This module reads the tracer and
-checks those names, then traces one sample and one encode.
+checks those names, then traces one sample and one encode, and one
+generate and one graph build.
 """
 
 import importlib
@@ -15,6 +16,7 @@ import os
 import numpy as np
 import pytest
 
+import amlgraph.datagen as dg
 import amlgraph.graph as gr
 import amlgraph.model as md
 import amlgraph.ndtensor as nd
@@ -68,6 +70,22 @@ def test_traced_sample_counts_edges(tracer_module):
     assert gr.sample_neighborhood_nodes is original
     assert tracer.counts["graph.sampled_edges"] > 0
     assert tracer.counts["model.encode.input_rows"] > 0
+
+
+def test_traced_setup_spans(tracer_module):
+    """The set-up layer metrics (`datagen.generate_s`, `graph.build_graph_s`)
+    read the spans of the public functions that do the set-up work."""
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        profiles, txns, _ = dg.generate(dg.SyntheticConfig(
+            n_customers=20, n_transactions=50, n_communities=2, d_customer=6,
+            d_transaction=3))
+        gr.build_graph(txns, profiles)
+    finally:
+        tracer.uninstall()
+    assert {"datagen.generate", "graph.build_graph"} <= {span[2] for span in tracer.spans}
+    assert tracer.value("datagen.generate_s") > 0 and tracer.value("graph.build_graph_s") > 0
 
 
 # Counters the tracer computes itself, not a span of a function.

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import amlgraph.cli as cli
 import amlgraph.datagen as dg
 import amlgraph.graph as gr
 from amlgraph.errors import ConfigError
@@ -12,6 +15,136 @@ def small_cfg(**over):
                 external_rate=0.05, ring_size=5, seed=0)
     base.update(over)
     return dg.SyntheticConfig(**base)
+
+
+def reference_generate(config):
+    """`generate` as it was written record by record, with `Generator.choice`
+    picking each counterpart: the reference the array form must equal."""
+    config.validate()
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 11]))
+    n, k = config.n_customers, config.n_communities
+    community, rings, ring_of = dg.assign_structure(config)
+    by_community = [np.flatnonzero(community == c) for c in range(k)]
+
+    def pick_other(members, exclude, weights):
+        pool = members[members != exclude]
+        if pool.size == 0:
+            return int(members[0])
+        w = weights[pool]
+        return int(pool[rng.choice(pool.size, p=w / w.sum())])
+
+    d_profile = config.d_customer - dg.AGGREGATE_DIMS
+    prototypes = rng.normal(0.0, dg.PROFILE_SEPARATION, size=(k, d_profile))
+    base_profiles = prototypes[community] + rng.normal(size=(n, d_profile))
+    mu_amount = 2.0 + dg.AMOUNT_SEPARATION * np.arange(k)
+    peak_hour = (3.0 * np.arange(k)) % 24.0
+    activity = np.exp(rng.normal(0.0, config.activity_skew, size=n))
+    timestamps = rng.uniform(0.0, config.time_span, size=config.n_transactions)
+    kinds = rng.uniform(size=config.n_transactions)
+    src_all = rng.choice(n, size=config.n_transactions, p=activity / activity.sum())
+
+    transactions, labels = [], []
+    noise_dims = config.d_transaction - 3
+    for j in range(config.n_transactions):
+        src = int(src_all[j])
+        com = int(community[src])
+        anomalous = kinds[j] < config.anomaly_rate
+        external = (not anomalous
+                    and kinds[j] < config.anomaly_rate + config.external_rate)
+        if anomalous:
+            other_com = int((com + 1 + rng.integers(k - 1)) % k)
+            dst = pick_other(by_community[other_com], src, activity)
+            log_amount = rng.normal(float(mu_amount.mean()) + 3.5, 0.5)
+            hour = rng.uniform(0.0, 24.0)
+        else:
+            u = rng.uniform()
+            ring = rings[ring_of[src]]
+            if u < config.in_ring_rate and ring.size > 1:
+                dst = pick_other(ring, src, activity)
+            elif u < config.in_ring_rate + config.in_community_rate:
+                dst = pick_other(by_community[com], src, activity)
+            else:
+                dst = pick_other(np.arange(n), src, activity)
+            log_amount = rng.normal(mu_amount[com], 0.5)
+            hour = rng.normal(peak_hour[com], 2.0) % 24.0
+        features = np.empty(config.d_transaction)
+        features[0] = np.exp(log_amount)
+        features[1] = np.sin(2.0 * np.pi * hour / 24.0)
+        features[2] = np.cos(2.0 * np.pi * hour / 24.0)
+        if noise_dims:
+            features[3:] = rng.normal(size=noise_dims)
+        src_id, dst_id = f"c{src:06d}", f"c{dst:06d}"
+        src_com, dst_com = com, int(community[dst])
+        if external:
+            if rng.uniform() < 0.5:
+                src_id, src_com = gr.EXTERNAL, -1
+            else:
+                dst_id, dst_com = gr.EXTERNAL, -1
+        transactions.append(gr.RawTransaction(f"t{j:07d}", src_id, dst_id,
+                                              float(timestamps[j]), features))
+        labels.append(dg.TxnLabel(f"t{j:07d}", bool(anomalous), src_com, dst_com))
+
+    warmup_end = config.warmup_fraction * config.time_span
+    agg = np.zeros((n, dg.AGGREGATE_DIMS))
+    for txn in transactions:
+        if txn.timestamp >= warmup_end:
+            continue
+        amount = float(txn.features[0])
+        if txn.source_customer != gr.EXTERNAL:
+            i = int(txn.source_customer[1:])
+            agg[i, 0] += 1.0
+            agg[i, 2] += amount
+        if txn.dest_customer != gr.EXTERNAL:
+            i = int(txn.dest_customer[1:])
+            agg[i, 1] += 1.0
+            agg[i, 3] += amount
+    profiles = [gr.CustomerProfile(
+        f"c{i:06d}", np.concatenate([base_profiles[i], np.log1p(agg[i])]))
+        for i in range(n)]
+    return profiles, transactions, labels
+
+
+def _fields(record):
+    """Every field of a record, arrays as (dtype, shape, bytes), each value
+    with its type, so that equal fields are equal byte for byte."""
+    return [(type(v), (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v)
+            for v in vars(record).values()]
+
+
+# The config grid of the reference comparison: seeds, a ring of 2 with a
+# merged leftover member (202 customers over 4 communities), anomaly and
+# external rates at 0 and high, no activity skew, no noise dimensions, and
+# a single community.
+REFERENCE_GRID = [dict(seed=s) for s in range(4)] + [
+    dict(ring_size=2, n_customers=202), dict(anomaly_rate=0.0), dict(anomaly_rate=0.3),
+    dict(external_rate=0.0), dict(external_rate=0.5), dict(activity_skew=0.0),
+    dict(d_transaction=3), dict(n_communities=1, anomaly_rate=0.0)]
+
+
+class TestReferenceGenerator:
+    @pytest.mark.parametrize("over", REFERENCE_GRID, ids=lambda o: ",".join(
+        f"{k}={v}" for k, v in o.items()))
+    def test_every_field_equals_reference(self, over):
+        cfg = small_cfg(**over)
+        got, want = dg.generate(cfg), reference_generate(cfg)
+        for records, expected in zip(got, want):
+            assert len(records) == len(expected)
+            for a, b in zip(records, expected):
+                assert type(a) is type(b) and _fields(a) == _fields(b)
+
+    def test_gen_data_files_equal_reference(self, tmp_path, monkeypatch):
+        argv = ["gen-data", "--n-customers", "202", "--n-transactions", "900",
+                "--n-communities", "4", "--d-transaction", "5", "--seed", "3",
+                "--holdout-boundary", "60"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(dg, "generate", reference_generate)
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "ref")]) == 0
+        names = sorted(os.listdir(tmp_path / "ref"))
+        assert sorted(os.listdir(tmp_path / "new")) == names
+        for name in names:
+            if name != "manifest.json":   # it names its own directory
+                assert ((tmp_path / "new" / name).read_bytes()
+                        == (tmp_path / "ref" / name).read_bytes()), name
 
 
 class TestGenerate:

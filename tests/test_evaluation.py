@@ -124,6 +124,51 @@ class TestAveragePrecision:
         assert ev.roc_auc(scores, labels) == auc_oracle(scores, labels)
 
 
+def loop_roc_auc(scores, labels):
+    """`roc_auc` as it was written with a Python loop over tie groups."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    boundaries = np.flatnonzero(np.diff(scores[order])) + 1
+    starts = np.concatenate([[0], boundaries])
+    stops = np.concatenate([boundaries, [scores.size]])
+    for a, b in zip(starts, stops):
+        ranks[order[a:b]] = (a + b + 1) / 2.0
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def loop_average_precision(scores, labels):
+    """`average_precision` as it was written with a Python loop over hits."""
+    hits = labels[np.argsort(-scores, kind="stable")]
+    cum = np.cumsum(hits)
+    precision = cum / np.arange(1, hits.size + 1)
+    total = 0.0
+    for p in precision[hits == 1]:
+        total += float(p)
+    return float(total / cum[-1])
+
+
+class TestLoopFree:
+    """The array forms of the metrics keep the loops' bits."""
+
+    @pytest.mark.parametrize("levels", [None, 50, 3, 1],
+                             ids=["untied", "tied", "heavily-tied", "one-value"])
+    def test_bitwise_equal_to_loops(self, levels):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 17, 256, 5000):
+            for _ in range(5):
+                labels = rng.integers(0, 2, size=n)
+                labels[:2] = (0, 1)
+                scores = (rng.random(n) if levels is None
+                          else rng.integers(0, levels, size=n) / 7.0)
+                assert (ev.roc_auc(scores, labels).hex()
+                        == loop_roc_auc(scores, labels).hex())
+                assert (ev.average_precision(scores, labels).hex()
+                        == loop_average_precision(scores, labels).hex())
+
+
 class TestRocCurve:
     def test_two_point_separation(self):
         c = ev.roc_curve([0.9, 0.1], [1, 0])

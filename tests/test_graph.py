@@ -591,6 +591,139 @@ class TestResolve:
             assert row.tobytes() == g.standardize_transaction_features(t.features).tobytes()
 
 
+def reference_build_graph(transactions, profiles):
+    """`build_graph` as it was written, checking record by record: the
+    reference of the array record check."""
+    if not profiles:
+        raise IngestError("no customer profiles given")
+    profiles = sorted(profiles, key=lambda p: p.customer_id)
+    ids = [p.customer_id for p in profiles]
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise IngestError(f"duplicate customer id {a!r}")
+    if gr.EXTERNAL in set(ids):
+        raise IngestError(f"{gr.EXTERNAL!r} is reserved and cannot be a customer id")
+    d_c = len(profiles[0].features)
+    raw_c = np.zeros((len(profiles), d_c))
+    for i, p in enumerate(profiles):
+        raw_c[i] = gr._feature_row("customer", p.customer_id, p.features, d_c)
+    transactions = sorted(transactions, key=lambda t: t.txn_id)
+    tids = [t.txn_id for t in transactions]
+    for a, b in zip(tids, tids[1:]):
+        if a == b:
+            raise IngestError(f"duplicate transaction id {a!r}")
+    index = {cid: i for i, cid in enumerate(ids)}
+    n_t = len(transactions)
+    d_t = len(transactions[0].features) if transactions else 0
+    raw_t = np.zeros((n_t, d_t))
+    o_src = np.full(n_t, -1, dtype=np.int64)
+    i_dst = np.full(n_t, -1, dtype=np.int64)
+    timestamps = np.zeros(n_t)
+    for j, t in enumerate(transactions):
+        raw_t[j] = gr._transaction_row(t, d_t)
+        timestamps[j] = float(t.timestamp)
+        for side, cid, arr in (("source", t.source_customer, o_src),
+                               ("dest", t.dest_customer, i_dst)):
+            if cid == gr.EXTERNAL:
+                continue
+            if cid not in index:
+                raise IngestError(f"transaction {t.txn_id!r} {side} references "
+                                  f"unknown customer {cid!r}")
+            arr[j] = index[cid]
+    x_c, c_mean, c_std = gr._standardize(raw_c)
+    x_t, t_mean, t_std = gr._standardize(raw_t)
+    stats = {"c_mean": c_mean, "c_std": c_std, "t_mean": t_mean, "t_std": t_std}
+    return gr.BipartiteGraph(ids, tids, x_c, x_t, o_src, i_dst, timestamps, stats)
+
+
+def reference_resolve(g, transactions):
+    """`resolve_transactions` as it was written, record by record."""
+    seen = set()
+    raw = np.zeros((len(transactions), g.d_transaction))
+    ends = np.full((len(transactions), 2), -1, dtype=np.int64)
+    cold = np.zeros((len(transactions), 2), dtype=bool)
+    for k, t in enumerate(transactions):
+        if t.txn_id in g.txn_index or t.txn_id in seen:
+            raise IngestError(f"transaction id {t.txn_id!r} already present")
+        seen.add(t.txn_id)
+        raw[k] = gr._transaction_row(t, g.d_transaction)
+        for side, cid in enumerate((t.source_customer, t.dest_customer)):
+            if cid in g.customer_index:
+                ends[k, side] = g.customer_index[cid]
+            else:
+                cold[k, side] = cid != gr.EXTERNAL
+    return g.standardize_transaction_features(raw), ends, cold
+
+
+def _arrays(value):
+    """A graph or a tuple of arrays as comparable (dtype, shape, bytes)."""
+    if isinstance(value, gr.BipartiteGraph):
+        value = (value.customer_ids, value.txn_ids, value.x_c, value.x_t, value.o_src,
+                 value.i_dst, value.timestamps, *value.stats.values())
+    return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+            for a in value]
+
+
+def _outcome(fn, *args):
+    """("ok", arrays) or ("refused", message) of one call."""
+    try:
+        return "ok", _arrays(fn(*args))
+    except IngestError as e:
+        return "refused", str(e)
+
+
+# Ways to break one record, each a fault the record check names
+FAULTS = ("width", "nan", "inf", "timestamp", "external", "unknown", "repeated",
+          "present")
+
+
+def _break(batch, k, fault, graph_ids, rng):
+    t = batch[k]
+    f = np.array(t.features, dtype=np.float64)
+    if fault == "width":
+        short = len(f) and rng.random() < 0.5
+        return dataclasses.replace(t, features=f[:-1] if short else np.append(f, 0.0))
+    if fault in ("nan", "inf"):
+        bad = np.nan if fault == "nan" else -np.inf
+        if len(f):
+            f[int(rng.integers(len(f)))] = bad
+        return dataclasses.replace(t, features=f if len(f) else np.array([bad]))
+    if fault == "timestamp":
+        return dataclasses.replace(t, timestamp=float(rng.choice([np.nan, np.inf, -np.inf])))
+    if fault == "external":
+        return dataclasses.replace(t, source_customer=gr.EXTERNAL, dest_customer=gr.EXTERNAL)
+    if fault == "unknown":
+        side = "source_customer" if rng.random() < 0.5 else "dest_customer"
+        return dataclasses.replace(t, **{side: "ghost"})
+    if fault == "repeated":
+        return dataclasses.replace(t, txn_id=batch[int(rng.integers(len(batch)))].txn_id)
+    return dataclasses.replace(t, txn_id=graph_ids[int(rng.integers(len(graph_ids)))])
+
+
+class TestArrayRecordCheck:
+    """`build_graph` and `resolve_transactions` check a batch as arrays, and
+    refuse or return exactly what the record-by-record reference does."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           faults=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(FAULTS)),
+                           max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_same_result_or_refusal_as_reference(self, seed, n, faults):
+        rng = np.random.default_rng(seed)
+        txns, profiles = random_records(rng, n_c=6, n_t=12)
+        g = reference_build_graph(txns, profiles)
+        batch, _ = random_records(rng, n_c=6, n_t=n)
+        batch = [dataclasses.replace(t, txn_id=f"x{j}") for j, t in enumerate(batch)]
+        for k, fault in faults:
+            batch[k % n] = _break(batch, k % n, fault, g.txn_ids, rng)
+        for fn, ref, args in ((gr.build_graph, reference_build_graph, (txns + batch, profiles)),
+                              (gr.resolve_transactions, reference_resolve, (g, batch))):
+            want = _outcome(ref, *args)
+            assert _outcome(fn, *args) == want
+            if not faults:
+                assert want[0] == "ok"
+
+
 def _first(arr, value):
     """A copy of `arr` whose first entry is `value`."""
     out = np.array(arr, dtype=np.float64)

@@ -322,11 +322,14 @@ class TestFit:
         params, history = tr.fit(g, split, cfg)
         assert len(history) == 2
 
-    def test_validation_required(self):
+    def test_validation_required(self, monkeypatch):
         g, _ = community_graph()
         split = gr.split_edges(g, (0.7, 0.3, 0.0), seed=2)
-        with pytest.raises(ConfigError):
+        steps = []
+        monkeypatch.setattr(tr, "train_step", lambda *a, **k: steps.append(1) or 0.0)
+        with pytest.raises(ConfigError, match="no validation edges in either direction"):
             tr.fit(g, split, small_config())
+        assert steps == []   # refused before the first step
 
 
 def old_build_eval_examples(g, split, negatives_seed):
